@@ -15,6 +15,7 @@
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
+#include "sim/thread_pool.hpp"
 #include "sim/topology.hpp"
 
 #include <thread>
@@ -237,7 +238,23 @@ void BM_NetworkRoundParallel(benchmark::State& state) {
 BENCHMARK(BM_NetworkRoundParallel)
     ->Args({10000, 2})
     ->Args({10000, 4})
-    ->Args({10000, 8});
+    ->Args({10000, 8})
+    ->UseRealTime();
+
+// The round barrier alone: an empty ThreadPool::run, in wall time. Arg is
+// the pool width; width 1 is the inline call, the floor.
+void BM_ThreadPoolRun(benchmark::State& state) {
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  const std::function<void(int)> nop = [](int) {};
+  for (auto _ : state) pool.run(nop);
+}
+BENCHMARK(BM_ThreadPoolRun)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Wide payloads: exercises the slab-arena spill path (> kInlineFields).
 void BM_NetworkRoundSpill(benchmark::State& state) {
@@ -279,7 +296,10 @@ void BM_DefectiveRefine(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rounds * 2 * g.num_edges());
 }
-BENCHMARK(BM_DefectiveRefine)->Args({1000, 1})->Args({1000, 2});
+BENCHMARK(BM_DefectiveRefine)
+    ->Args({1000, 1})
+    ->Args({1000, 2})
+    ->UseRealTime();
 
 // Same instance with the dirty-flag announce disabled (every node
 // re-broadcasts its color in every announce round): isolates the win of
@@ -326,7 +346,10 @@ void BM_TokenDropping(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rounds * g.num_arcs());
 }
-BENCHMARK(BM_TokenDropping)->Args({100, 1})->Args({100, 2});
+BENCHMARK(BM_TokenDropping)
+    ->Args({100, 1})
+    ->Args({100, 2})
+    ->UseRealTime();
 
 // Balanced orientation (§5) as node programs: two substrate rounds per
 // phase plus the embedded token dropping games on their own DiNetworks
@@ -349,7 +372,10 @@ void BM_BalancedOrientation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rounds * 2 *
                           bg.graph.num_edges());
 }
-BENCHMARK(BM_BalancedOrientation)->Args({256, 1})->Args({256, 2});
+BENCHMARK(BM_BalancedOrientation)
+    ->Args({256, 1})
+    ->Args({256, 2})
+    ->UseRealTime();
 
 // Same instance with the network arena disabled: every phase rebuilds its
 // game DiNetwork (and the solver its SyncNetwork) from scratch. Results are
@@ -394,7 +420,10 @@ void BM_Defective2EC(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rounds * 2 *
                           bg.graph.num_edges());
 }
-BENCHMARK(BM_Defective2EC)->Args({128, 1})->Args({128, 2});
+BENCHMARK(BM_Defective2EC)
+    ->Args({128, 1})
+    ->Args({128, 2})
+    ->UseRealTime();
 
 void BM_ProperEdgeColoringCheck(benchmark::State& state) {
   Rng rng(4);

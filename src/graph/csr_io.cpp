@@ -170,7 +170,18 @@ void write_csr(const std::string& path, const Graph& g) {
   }
   std::vector<std::uint32_t> endpoints;
   endpoints.reserve(2 * static_cast<std::size_t>(m));
+  std::pair<NodeId, NodeId> prev{-1, -1};
   for (const auto& [u, v] : g.edge_list()) {
+    // The format stores canonical edge ids, which read_csr enforces; refuse
+    // here rather than write a file that cannot be read back. Renumbering
+    // the edges silently would change every edge-indexed result.
+    DEC_REQUIRE(u < v && prev < std::pair(u, v),
+                "csr: cannot write '" + path +
+                    "': the graph's edge list is not canonical (u < v, "
+                    "strictly increasing by (u, v)); canonicalize it first "
+                    "by rebuilding through GraphBuilder, or by sorting the "
+                    "(min, max) endpoint pairs into Graph::from_sorted_unique");
+    prev = {u, v};
     endpoints.push_back(static_cast<std::uint32_t>(u));
     endpoints.push_back(static_cast<std::uint32_t>(v));
   }

@@ -108,7 +108,9 @@ class CsrMapping {
 };
 
 /// Write `g` to `path` in the binary CSR format. Overwrites existing files;
-/// throws CheckError on I/O failure.
+/// throws CheckError on I/O failure, and before touching the file when
+/// `g`'s edge list is not canonical (u < v, strictly increasing — what
+/// GraphBuilder::build() emits; gen::random_regular, for one, does not).
 void write_csr(const std::string& path, const Graph& g);
 
 /// Map `path` and construct the graph through the Graph::from_csr fast

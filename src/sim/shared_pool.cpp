@@ -97,7 +97,7 @@ std::shared_ptr<const Topo> SharedNetworkPool::find_or_plan(
   // Lock-free fast path over the entries published so far.
   const std::uint32_t seen = sh.count.load(std::memory_order_acquire);
   if (auto topo = scan(0, seen)) {
-    lookups_.fetch_add(kHitUnit, std::memory_order_relaxed);
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     return topo;
   }
 
@@ -107,10 +107,13 @@ std::shared_ptr<const Topo> SharedNetworkPool::find_or_plan(
   // exactly-once contract (and waste the work).
   const std::uint32_t now = sh.count.load(std::memory_order_acquire);
   if (auto topo = scan(seen, now)) {
-    lookups_.fetch_add(kHitUnit, std::memory_order_relaxed);
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     return topo;
   }
-  lookups_.fetch_add(kMissUnit, std::memory_order_relaxed);
+  // Lookup first, then (release) the miss: a snapshot that sees the miss
+  // sees its lookup, so hits = lookups - misses never goes negative.
+  lookups_.fetch_add(1, std::memory_order_relaxed);
+  misses_.fetch_add(1, std::memory_order_release);
   std::shared_ptr<const Topo> topo = plan();
   if (now < kMaxCachedPerShard) {
     sh.entries[now] = {fp, materialize(shape), n, topo};

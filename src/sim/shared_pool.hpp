@@ -97,22 +97,23 @@ class SharedNetworkPool {
 
   // ---- stats (atomic; cache hit rate and plans shared for the service) --
 
-  /// One coherent snapshot of the topology-cache counters. Hits and misses
-  /// are packed into a single 64-bit atomic (32 bits each), so a single
-  /// relaxed load yields a pair that existed at one instant — a rate
-  /// computed from it always agrees with hits + misses, which two separate
-  /// counter loads cannot guarantee under concurrent lookups. The packing
-  /// caps each counter at 2^32 lookups; a service would need years of
-  /// sustained traffic to wrap, and the stats are diagnostics, not control
-  /// flow.
+  /// One coherent snapshot of the topology-cache counters. Two 64-bit
+  /// counters back it: `lookups_` is bumped on every decided lookup and
+  /// `misses_` is bumped after it on a miss. The snapshot loads `misses_`
+  /// (acquire) before `lookups_`, so every miss it counts has its lookup
+  /// counted too: hits = lookups - misses is never negative, and a rate
+  /// computed from the pair always agrees with hits + misses under
+  /// concurrent lookups. At 64 bits neither counter wraps in any service's
+  /// lifetime (2^63 lookups at 10^9/s is ~290 years). The stats are
+  /// diagnostics, not control flow.
   struct TopologyCounters {
     std::int64_t hits = 0;    // plans shared (cache hits)
     std::int64_t misses = 0;  // plans built (cache misses)
   };
   TopologyCounters topology_counters() const {
-    const std::uint64_t v = lookups_.load(std::memory_order_relaxed);
-    return {static_cast<std::int64_t>(v >> 32),
-            static_cast<std::int64_t>(v & 0xffffffffull)};
+    const std::int64_t misses = misses_.load(std::memory_order_acquire);
+    const std::int64_t lookups = lookups_.load(std::memory_order_relaxed);
+    return {lookups - misses, misses};
   }
   std::int64_t topology_hits() const { return topology_counters().hits; }
   std::int64_t topology_misses() const { return topology_counters().misses; }
@@ -179,17 +180,14 @@ class SharedNetworkPool {
   void park_in(std::vector<std::unique_ptr<Net>> StateShard::* list,
                std::unique_ptr<Net> net, const void* plan_key);
 
-  /// Increments for the packed hit/miss counter (see topology_counters()).
-  static constexpr std::uint64_t kHitUnit = 1ull << 32;
-  static constexpr std::uint64_t kMissUnit = 1ull;
-
   int num_threads_;
   TopoShard<NetworkTopology> net_shards_[kNumShards];
   TopoShard<DiTopology> di_shards_[kNumShards];
   StateShard state_shards_[kNumShards];
-  /// Hits (high 32 bits) and misses (low 32 bits) in one word, so stats
-  /// snapshots are coherent with a single load.
-  std::atomic<std::uint64_t> lookups_{0};
+  /// Decided topology lookups and, of those, misses (see
+  /// topology_counters() for the ordering that keeps them coherent).
+  std::atomic<std::int64_t> lookups_{0};
+  std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> parked_{0};
 };
 

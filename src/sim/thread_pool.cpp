@@ -3,57 +3,106 @@
 #include "util/check.hpp"
 
 namespace dec {
+namespace {
 
-ThreadPool::ThreadPool(int num_threads) {
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Wait until `word` no longer holds `old` and return its new value
+/// (acquire). Spins for up to ThreadPool::kSpinFor when `spin` is set, then
+/// blocks in the futex.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t old, bool spin) {
+  std::uint32_t now = word.load(std::memory_order_acquire);
+  if (spin && now == old) {
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = Clock::now() + ThreadPool::kSpinFor;
+    do {
+      // Read the clock once per 64 pauses: a clock read costs more than a
+      // pause, and the bound only needs to hold to within a microsecond.
+      for (int i = 0; i < 64 && now == old; ++i) {
+        cpu_relax();
+        now = word.load(std::memory_order_acquire);
+      }
+    } while (now == old && Clock::now() < deadline);
+  }
+  while (now == old) {
+    word.wait(old, std::memory_order_acquire);
+    now = word.load(std::memory_order_acquire);
+  }
+  return now;
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(num_threads),
+      spin_(static_cast<unsigned>(num_threads) <=
+            std::max(1u, std::thread::hardware_concurrency())) {
   DEC_REQUIRE(num_threads >= 1, "thread pool needs at least one thread");
-  threads_.reserve(static_cast<std::size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { worker(i); });
+  workers_.reserve(static_cast<std::size_t>(num_threads) - 1);
+  for (int i = 1; i < num_threads; ++i) {
+    workers_.emplace_back([this, i] { worker(i); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+  stop_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (auto& t : workers_) t.join();
+}
+
+void ThreadPool::invoke(const std::function<void(int)>& job, int index) {
+  try {
+    job(index);
+  } catch (...) {
+    if (!error_claimed_.exchange(true, std::memory_order_relaxed)) {
+      first_error_ = std::current_exception();
+    }
   }
-  cv_work_.notify_all();
-  for (auto& t : threads_) t.join();
 }
 
 void ThreadPool::run(const std::function<void(int)>& job) {
-  std::unique_lock<std::mutex> lock(mu_);
-  job_ = &job;
-  pending_ = num_threads();
-  first_error_ = nullptr;
-  ++generation_;
-  cv_work_.notify_all();
-  cv_done_.wait(lock, [this] { return pending_ == 0; });
+  const auto workers = static_cast<std::uint32_t>(workers_.size());
+  if (workers > 0) {
+    job_ = &job;
+    pending_.store(workers, std::memory_order_relaxed);
+    // The RMW is the release that publishes job_ and pending_; it is also a
+    // full fence, which notify_all's "is anyone asleep?" check relies on.
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+  }
+  invoke(job, 0);
+  for (std::uint32_t left = pending_.load(std::memory_order_acquire);
+       left != 0;) {
+    left = await_change(pending_, left, spin_);
+  }
   job_ = nullptr;
-  if (first_error_ != nullptr) std::rethrow_exception(first_error_);
+  if (error_claimed_.load(std::memory_order_relaxed)) {
+    std::exception_ptr error = std::move(first_error_);
+    first_error_ = nullptr;
+    error_claimed_.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(error);
+  }
 }
 
 void ThreadPool::worker(int index) {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    const std::function<void(int)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      job = job_;
-    }
-    std::exception_ptr error;
-    try {
-      (*job)(index);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (error != nullptr && first_error_ == nullptr) first_error_ = error;
-      if (--pending_ == 0) cv_done_.notify_one();
+    seen = await_change(epoch_, seen, spin_);
+    if (stop_) return;
+    invoke(*job_, index);
+    // The last index out wakes the caller if it went to sleep. Once the
+    // count is decremented the caller may publish the next round, so job_
+    // must not be read again until the epoch moves.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
     }
   }
 }

@@ -1,19 +1,59 @@
 // Reusable fork-join thread pool for the parallel round engine.
 //
-// One pool lives as long as its SyncNetwork: workers are spawned once and
-// parked on a condition variable between rounds, so per-round dispatch is a
-// generation bump + two notifications instead of thread creation. run(job)
-// executes job(i) for every worker index i and blocks until all are done;
-// the first exception thrown by any worker is captured and rethrown on the
-// calling thread (the library is exception-based, see util/check.hpp).
+// A simulated solve is thousands of synchronous rounds of tens of
+// microseconds each, and every sharded round crosses run() once. So the
+// barrier, not the round body, decides whether sharding pays; the design
+// keeps it well under a round:
+//
+// - The caller is worker 0. run(job) publishes the job, executes job(0) on
+//   the calling thread, then waits for the other num_threads - 1 indices,
+//   so only num_threads - 1 OS threads exist and none of the calling
+//   thread's time goes to sleeping through the round.
+// - Dispatch is an epoch counter. Each worker remembers the last epoch it
+//   ran; run() bumps the epoch and the workers see it change. Completion is
+//   an atomic countdown of the outstanding worker indices.
+// - Waiting is spin-then-futex on both sides: a waiter spins (with a CPU
+//   pause) for at most kSpinFor, then blocks in C++20 std::atomic::wait,
+//   which is a futex on Linux. Back-to-back rounds therefore hand off
+//   without a syscall, while an idle pool sleeps and burns no CPU. There is
+//   no mutex or condition variable on the per-round path.
+// - Workers spin only when the pool has no more threads than the hardware
+//   has (std::thread::hardware_concurrency). An oversubscribed pool sleeps
+//   at once: a spinning waiter would steal the core the thread it is
+//   waiting for needs.
+//
+// Spin bound. The serial work between two rounds of a solver (the
+// begin/finish-round bookkeeping, the audit merge, the solver's own logic)
+// must fit inside kSpinFor, or every round pays a futex wake. A probe of
+// the congest_sharded benchmark workload's solve_s against the bound, on a
+// 4-core 2.0 GHz Xeon VM: 0 µs (futex only) 0.26-0.29 s, 5 µs 0.21 s,
+// 20 µs 0.18-0.29 s, 50 µs 0.17-0.20 s, 100 µs 0.19-0.20 s, 200 µs
+// 0.18-0.19 s. 20 µs is the knee but not reliably past it; 50 µs sits on
+// the plateau with margin, and caps what an idle pool burns after its last
+// run at 50 µs per waiter.
+//
+// Memory ordering. Everything the caller wrote before run() happens-before
+// every job(i) (release bump of the epoch, acquire load by the workers);
+// everything job(i) wrote happens-before run() returns (release countdown
+// of the pending count, acquire load by the caller). Plain, non-atomic
+// per-shard results are therefore safe to read right after run().
+//
+// Errors. The first exception thrown by any index, the caller's own
+// job(0) included, is rethrown on the calling thread once every index has
+// finished; later ones are dropped. The pool stays usable after a throw
+// (the library is exception-based, see util/check.hpp).
+//
+// The epoch is a 32-bit counter compared only for inequality with the
+// value a worker last ran, and a worker is never more than one epoch
+// behind, so wrap-around is harmless.
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -31,32 +71,48 @@ inline int resolve_num_threads(int num_threads) {
 
 class ThreadPool {
  public:
-  /// Spawn `num_threads` (>= 1) parked workers.
+  /// How long a waiter spins before it blocks (see the header comment).
+  static constexpr std::chrono::microseconds kSpinFor{50};
+
+  /// A pool of `num_threads` (>= 1) indices: the calling thread plus
+  /// num_threads - 1 parked workers.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Execute job(i) for i in [0, num_threads) across the workers; blocks
-  /// until every invocation returns. `job` must be safe to call concurrently
-  /// with distinct indices. Rethrows the first worker exception.
+  /// Execute job(i) for i in [0, num_threads), job(0) on the calling
+  /// thread; blocks until every invocation returns. `job` must be safe to
+  /// call concurrently with distinct indices. Rethrows the first exception.
+  /// Not reentrant, and not to be called from two threads at once.
   void run(const std::function<void(int)>& job);
 
-  int num_threads() const { return static_cast<int>(threads_.size()); }
+  int num_threads() const { return num_threads_; }
 
  private:
   void worker(int index);
+  /// Run job(index), keeping its exception if it is the first one.
+  void invoke(const std::function<void(int)>& job, int index);
 
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
+  const int num_threads_;
+  const bool spin_;  // false when oversubscribed: wait in the futex at once
+
+  // Written by the caller before the epoch bump, read by workers after it.
   const std::function<void(int)>* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  int pending_ = 0;
-  std::exception_ptr first_error_;
   bool stop_ = false;
+
+  // Caller-written dispatch word and worker-written countdown, on their own
+  // cache lines so workers polling the epoch do not slow the countdown.
+  alignas(64) std::atomic<std::uint32_t> epoch_{0};
+  alignas(64) std::atomic<std::uint32_t> pending_{0};
+
+  // Exception path only: the first index to throw claims the slot.
+  alignas(64) std::atomic<bool> error_claimed_{false};
+  std::exception_ptr first_error_;
+
+  // Last, so every member a worker touches exists before it starts.
+  std::vector<std::thread> workers_;  // indices 1 .. num_threads - 1
 };
 
 }  // namespace dec

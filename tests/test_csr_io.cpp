@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/csr_io.hpp"
 #include "graph/generators.hpp"
 #include "sim/pool.hpp"
@@ -85,6 +86,33 @@ TEST(CsrIo, RoundTripEmptyAndEdgeless) {
     EXPECT_EQ(h.num_edges(), 0);
     std::remove(path.c_str());
   }
+}
+
+TEST(CsrIo, WriteRefusesNonCanonicalEdgeList) {
+  // random_regular numbers its edges in configuration-model order, not
+  // canonical (u, v) order. Writing it used to succeed and produce a file
+  // read_csr then rejected; the writer now refuses up front, without
+  // renumbering edges behind the caller's back or touching the file.
+  Rng rng(12);
+  const Graph shuffled = gen::random_regular(200, 6, rng);
+  const std::string path = temp_path("noncanonical");
+  std::remove(path.c_str());
+  try {
+    write_csr(path, shuffled);
+    FAIL() << "write_csr accepted a non-canonical edge list";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("GraphBuilder"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(path).good()) << "a refused write left a file";
+
+  GraphBuilder b(shuffled.num_nodes());
+  for (const auto& [u, v] : shuffled.edge_list()) b.add_edge(u, v);
+  const Graph canonical = std::move(b).build();
+  ASSERT_EQ(canonical.num_edges(), shuffled.num_edges());
+  write_csr(path, canonical);
+  expect_bit_identical(canonical, read_csr(path));
+  std::remove(path.c_str());
 }
 
 TEST(CsrIo, MappingExposesSections) {

@@ -562,6 +562,52 @@ TEST(SharedNetworkPool, ConcurrentTenantsPlanEachShapeOnce) {
   EXPECT_EQ(pool.cached_topologies(), 1u);
 }
 
+TEST(SharedNetworkPool, CountersStayCoherentUnderConcurrentLookups) {
+  // Tenants hammer a handful of shapes (the first lookup of each misses)
+  // while an observer snapshots the counters: no snapshot may show negative
+  // hits, a rate outside [0, 1], or a counter going backwards, and the
+  // final totals are exact.
+  Rng rng(50);
+  std::vector<Graph> shapes;
+  for (int i = 0; i < 6; ++i) shapes.push_back(gen::gnp(20 + i, 0.2, rng));
+  SharedNetworkPool pool(1);
+  constexpr int kTenants = 4;
+  constexpr int kLookupsPerTenant = 20000;
+  std::atomic<bool> done{false};
+  std::thread observer([&] {
+    std::int64_t last_lookups = 0;
+    std::int64_t last_misses = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      const auto c = pool.topology_counters();
+      ASSERT_GE(c.hits, 0);
+      ASSERT_GE(c.misses, 0);
+      ASSERT_LE(c.misses, static_cast<std::int64_t>(shapes.size()));
+      ASSERT_GE(c.hits + c.misses, last_lookups);
+      ASSERT_GE(c.misses, last_misses);
+      last_lookups = c.hits + c.misses;
+      last_misses = c.misses;
+    }
+  });
+  {
+    std::vector<std::thread> tenants;
+    for (int t = 0; t < kTenants; ++t) {
+      tenants.emplace_back([&, t] {
+        for (int i = 0; i < kLookupsPerTenant; ++i) {
+          pool.topology(shapes[static_cast<std::size_t>(i + t) %
+                               shapes.size()]);
+        }
+      });
+    }
+    for (auto& th : tenants) th.join();
+  }
+  done.store(true, std::memory_order_relaxed);
+  observer.join();
+  const auto c = pool.topology_counters();
+  EXPECT_EQ(c.misses, static_cast<std::int64_t>(shapes.size()));
+  EXPECT_EQ(c.hits + c.misses,
+            static_cast<std::int64_t>(kTenants) * kLookupsPerTenant);
+}
+
 TEST(SharedNetworkPool, ViewsParkAndAdoptRunStates) {
   Rng rng(48);
   const Graph g = gen::gnp(40, 0.15, rng);
