@@ -45,6 +45,7 @@ ThreadPool::ThreadPool(int num_threads)
       spin_(static_cast<unsigned>(num_threads) <=
             std::max(1u, std::thread::hardware_concurrency())) {
   DEC_REQUIRE(num_threads >= 1, "thread pool needs at least one thread");
+  claims_ = std::make_unique<Claim[]>(static_cast<std::size_t>(num_threads));
   workers_.reserve(static_cast<std::size_t>(num_threads) - 1);
   for (int i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker(i); });
@@ -52,7 +53,7 @@ ThreadPool::ThreadPool(int num_threads)
 }
 
 ThreadPool::~ThreadPool() {
-  stop_ = true;
+  stop_.store(true, std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
   for (auto& t : workers_) t.join();
@@ -68,17 +69,42 @@ void ThreadPool::invoke(const std::function<void(int)>& job, int index) {
   }
 }
 
+void ThreadPool::run_unclaimed(int first, std::uint32_t epoch) {
+  for (int k = 0; k < num_threads_; ++k) {
+    const int index = (first + k) % num_threads_;
+    if (index == 0) continue;
+    auto& claim = claims_[static_cast<std::size_t>(index)].epoch;
+    std::uint32_t last = epoch - 1;
+    // Only the claim orders anything here: job_ and the run's inputs were
+    // published by the epoch bump this thread has already acquired.
+    if (claim.load(std::memory_order_relaxed) != last ||
+        !claim.compare_exchange_strong(last, epoch,
+                                       std::memory_order_relaxed)) {
+      continue;
+    }
+    // job_ is the current run's until its last index is counted down, and
+    // this one has not been.
+    invoke(*job_, index);
+    // The last index out wakes the caller if it went to sleep.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
+    }
+  }
+}
+
 void ThreadPool::run(const std::function<void(int)>& job) {
   const auto workers = static_cast<std::uint32_t>(workers_.size());
+  std::uint32_t epoch = 0;
   if (workers > 0) {
     job_ = &job;
     pending_.store(workers, std::memory_order_relaxed);
     // The RMW is the release that publishes job_ and pending_; it is also a
     // full fence, which notify_all's "is anyone asleep?" check relies on.
-    epoch_.fetch_add(1, std::memory_order_release);
+    epoch = epoch_.fetch_add(1, std::memory_order_release) + 1;
     epoch_.notify_all();
   }
   invoke(job, 0);
+  if (workers > 0) run_unclaimed(1, epoch);
   for (std::uint32_t left = pending_.load(std::memory_order_acquire);
        left != 0;) {
     left = await_change(pending_, left, spin_);
@@ -96,14 +122,8 @@ void ThreadPool::worker(int index) {
   std::uint32_t seen = 0;
   for (;;) {
     seen = await_change(epoch_, seen, spin_);
-    if (stop_) return;
-    invoke(*job_, index);
-    // The last index out wakes the caller if it went to sleep. Once the
-    // count is decremented the caller may publish the next round, so job_
-    // must not be read again until the epoch moves.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      pending_.notify_one();
-    }
+    if (stop_.load(std::memory_order_relaxed)) return;
+    run_unclaimed(index, seen);
   }
 }
 

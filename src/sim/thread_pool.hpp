@@ -6,12 +6,20 @@
 // keeps it well under a round:
 //
 // - The caller is worker 0. run(job) publishes the job, executes job(0) on
-//   the calling thread, then waits for the other num_threads - 1 indices,
-//   so only num_threads - 1 OS threads exist and none of the calling
-//   thread's time goes to sleeping through the round.
+//   the calling thread, then helps with and waits for the other
+//   num_threads - 1 indices, so only num_threads - 1 OS threads exist and
+//   none of the calling thread's time goes to sleeping through the round.
 // - Dispatch is an epoch counter. Each worker remembers the last epoch it
-//   ran; run() bumps the epoch and the workers see it change. Completion is
-//   an atomic countdown of the outstanding worker indices.
+//   saw; run() bumps the epoch and the workers see it change. Completion is
+//   an atomic countdown of the outstanding indices 1 .. num_threads - 1.
+// - Indices are claimed, not assigned. Each index has a claim word holding
+//   the epoch of its last claim; whoever moves it from the previous epoch
+//   to the current one runs that index. A worker claims its own index
+//   first, so a shard normally stays on one core, and then any index
+//   nobody has started; the caller does the same after job(0). So a worker
+//   that is slow to start (descheduled by another task on its core, or
+//   still waking from the futex) costs the round one more shard on a
+//   thread that is running, not the time until it is scheduled again.
 // - Waiting is spin-then-futex on both sides: a waiter spins (with a CPU
 //   pause) for at most kSpinFor, then blocks in C++20 std::atomic::wait,
 //   which is a futex on Linux. Back-to-back rounds therefore hand off
@@ -43,9 +51,11 @@
 // finished; later ones are dropped. The pool stays usable after a throw
 // (the library is exception-based, see util/check.hpp).
 //
-// The epoch is a 32-bit counter compared only for inequality with the
-// value a worker last ran, and a worker is never more than one epoch
-// behind, so wrap-around is harmless.
+// The epoch is a 32-bit counter. A claim for epoch e succeeds only while
+// the index's word holds e - 1, that is once per run() and never after the
+// run has ended, so a worker that wakes late for a run others finished
+// claims nothing and reads nothing of it. Every index is claimed in every
+// run, so wrap-around is harmless.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +64,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -82,8 +93,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Execute job(i) for i in [0, num_threads), job(0) on the calling
-  /// thread; blocks until every invocation returns. `job` must be safe to
+  /// Execute job(i) once for each i in [0, num_threads), job(0) on the
+  /// calling thread and any other index on whichever pool thread claims it
+  /// first; blocks until every invocation returns. `job` must be safe to
   /// call concurrently with distinct indices. Rethrows the first exception.
   /// Not reentrant, and not to be called from two threads at once.
   void run(const std::function<void(int)>& job);
@@ -92,6 +104,9 @@ class ThreadPool {
 
  private:
   void worker(int index);
+  /// Claim and run, in order from `first` and wrapping, every index in
+  /// [1, num_threads) not yet claimed for `epoch`.
+  void run_unclaimed(int first, std::uint32_t epoch);
   /// Run job(index), keeping its exception if it is the first one.
   void invoke(const std::function<void(int)>& job, int index);
 
@@ -100,7 +115,9 @@ class ThreadPool {
 
   // Written by the caller before the epoch bump, read by workers after it.
   const std::function<void(int)>* job_ = nullptr;
-  bool stop_ = false;
+  // Atomic because a worker that wakes late for a run the others finished
+  // reads it with no claim ordering it after the destructor's write.
+  std::atomic<bool> stop_{false};
 
   // Caller-written dispatch word and worker-written countdown, on their own
   // cache lines so workers polling the epoch do not slow the countdown.
@@ -110,6 +127,13 @@ class ThreadPool {
   // Exception path only: the first index to throw claims the slot.
   alignas(64) std::atomic<bool> error_claimed_{false};
   std::exception_ptr first_error_;
+
+  // Per index, the epoch of its last claim (index 0 is the caller's and
+  // unused); one cache line each.
+  struct alignas(64) Claim {
+    std::atomic<std::uint32_t> epoch{0};
+  };
+  std::unique_ptr<Claim[]> claims_;
 
   // Last, so every member a worker touches exists before it starts.
   std::vector<std::thread> workers_;  // indices 1 .. num_threads - 1
