@@ -75,8 +75,8 @@ void ThreadPool::run_unclaimed(int first, std::uint32_t epoch) {
     if (index == 0) continue;
     auto& claim = claims_[static_cast<std::size_t>(index)].epoch;
     std::uint32_t last = epoch - 1;
-    // Only the claim orders anything here: job_ and the run's inputs were
-    // published by the epoch bump this thread has already acquired.
+    // Relaxed is enough: the claim only has to be unique, and job_ and the
+    // run's inputs were published by the epoch bump this thread acquired.
     if (claim.load(std::memory_order_relaxed) != last ||
         !claim.compare_exchange_strong(last, epoch,
                                        std::memory_order_relaxed)) {
