@@ -109,46 +109,14 @@ void BM_NetworkReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkReconstruct)->Arg(1000)->Arg(10000);
 
-// Legacy path: node program behind std::function type erasure.
-void BM_NetworkRound(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g);
-  const SyncNetwork::StepFn fn = [](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v};
-  };
-  for (auto _ : state) {
-    net.round(fn);
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-}
-BENCHMARK(BM_NetworkRound)->Arg(1000)->Arg(10000);
-
-// Serial fast path: round_fast<F> keeps the node program a direct call.
-void BM_NetworkRoundFast(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g);
-  for (auto _ : state) {
-    net.round_fast([](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-}
-BENCHMARK(BM_NetworkRoundFast)->Arg(1000)->Arg(10000);
-
-// BM_NetworkRoundFast on the 16 B narrow slot plane (declared width 1):
-// same single-field echo workload, so the delta to BM_NetworkRoundFast is
-// the round-path bandwidth win of the 4x smaller slots.
+// The headline round: every node echoes one field on every edge, 16 B
+// slots, two planes, serial engine. round_fast keeps the node program a
+// direct call.
 void BM_NetworkRoundNarrow(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1});
+  SyncNetwork net(g);
   for (auto _ : state) {
     net.round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) m.assign({v});
@@ -160,37 +128,16 @@ void BM_NetworkRoundNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundNarrow)->Arg(1000)->Arg(10000);
 
-// BM_NetworkRoundFast on a single message plane (PlaneMode::kSingle): same
-// echo workload delivered via parity-alternating slot ownership instead of
-// the plane swap. The delta to BM_NetworkRoundFast is the round-path cost
-// (target: none) of the mode that halves plane memory for drain-free
-// protocols; bytes_per_node shows the halved run state.
-void BM_NetworkRoundSinglePlane(benchmark::State& state) {
-  Rng rng(3);
-  const Graph g = gen::random_regular(
-      static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kWide, 0, PlaneMode::kSingle});
-  for (auto _ : state) {
-    net.round_fast([](NodeId v, const auto&, auto&& out) {
-      for (auto&& m : out) m.assign({v});
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
-  state.counters["bytes_per_node"] = static_cast<double>(net.memory_bytes()) /
-                                     static_cast<double>(g.num_nodes());
-}
-BENCHMARK(BM_NetworkRoundSinglePlane)->Arg(1000)->Arg(10000);
-
-// Narrow format x single plane: the fully-composed minimum-memory delivery
-// path (16 B slots, one plane). Compare bytes_per_node against
-// BM_NetworkRoundNarrow for the plane-mode win on top of the format win.
+// Single message plane (PlaneMode::kSingle): the same echo delivered via
+// parity-alternating slot ownership instead of the plane swap — the
+// minimum-memory delivery path. Compare bytes_per_node against
+// BM_NetworkRoundNarrow for the plane-mode win.
 void BM_NetworkRoundSinglePlaneNarrow(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
   SyncNetwork net(g, nullptr, "network", 1,
-                  SlotPlan{SlotFormat::kNarrow, 1, PlaneMode::kSingle});
+                  SlotPlan{.mode = PlaneMode::kSingle});
   for (auto _ : state) {
     net.round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) m.assign({v});
@@ -202,9 +149,9 @@ void BM_NetworkRoundSinglePlaneNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundSinglePlaneNarrow)->Arg(1000)->Arg(10000);
 
-// BM_NetworkRoundFast with an installed (never-tripping) CancelToken: the
+// BM_NetworkRoundNarrow with an installed (never-tripping) CancelToken: the
 // cost of the relaxed aborted() load the barrier pays per round when a
-// token is present. Compare against BM_NetworkRoundFast for the delta.
+// token is present. Compare against BM_NetworkRoundNarrow for the delta.
 void BM_NetworkRoundCancelToken(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
@@ -256,19 +203,17 @@ BENCHMARK(BM_ThreadPoolRun)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
-// Wide payloads: exercises the slab-arena spill path (> kInlineFields).
+// 8-field payloads: every slot spills to the slab arena (declared width 8).
 void BM_NetworkRoundSpill(benchmark::State& state) {
   Rng rng(3);
   const Graph g = gen::random_regular(
       static_cast<NodeId>(state.range(0)), 8, rng);
-  SyncNetwork net(g);
+  constexpr int kWidth = 8;
+  SyncNetwork net(g, nullptr, "network", 1, SlotPlan{.max_fields = kWidth});
   for (auto _ : state) {
     net.round_fast([](NodeId v, const auto&, auto&& out) {
       for (auto&& m : out) {
-        for (std::int64_t k = 0;
-             k < static_cast<std::int64_t>(2 * Message::kInlineFields); ++k) {
-          m.push(v + k);
-        }
+        for (std::int64_t k = 0; k < kWidth; ++k) m.push(v + k);
       }
     });
   }

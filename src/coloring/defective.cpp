@@ -86,14 +86,13 @@ DefectiveResult precolor_message_passing(const Graph& g,
                                          RoundLedger* ledger,
                                          int num_threads, NetworkPool* pool,
                                          CancelToken* cancel,
-                                         SlotFormat slot_format,
                                          PlaneMode plane_mode) {
   const NodeId n = g.num_nodes();
   DefectiveResult res;
   res.palette = static_cast<int>(p.q * p.q);
   res.colors.resize(static_cast<std::size_t>(n));
   ScopedNetwork net_scope(pool, g, ledger, "defective_precolor", num_threads,
-                          cancel, SlotPlan{slot_format, 1, plane_mode});
+                          cancel, SlotPlan{.max_fields = 1, .mode = plane_mode});
   SyncNetwork& net = *net_scope;
   // The one round: every node announces its input color on every edge.
   net.round_fast([&](NodeId v, const auto&, auto&& out) {
@@ -142,7 +141,6 @@ DefectiveResult refine_message_passing(const Graph& g,
                                        RoundLedger* ledger, int num_threads,
                                        bool dirty_announce, NetworkPool* pool,
                                        CancelToken* cancel,
-                                       SlotFormat slot_format,
                                        PlaneMode plane_mode) {
   const NodeId n = g.num_nodes();
   DefectiveResult res;
@@ -154,7 +152,7 @@ DefectiveResult refine_message_passing(const Graph& g,
   }
 
   ScopedNetwork net_scope(pool, g, ledger, "defective_refine", num_threads,
-                          cancel, SlotPlan{slot_format, 1, plane_mode});
+                          cancel, SlotPlan{.max_fields = 1, .mode = plane_mode});
   SyncNetwork& net = *net_scope;
 
   // Per-node neighbor-color cache, laid out on the network's own slot plane
@@ -274,7 +272,6 @@ DefectiveResult defective_precolor(const Graph& g,
                                    int input_palette, int target_defect,
                                    RoundLedger* ledger, int num_threads,
                                    NetworkPool* pool, CancelToken* cancel,
-                                   SlotFormat slot_format,
                                    PlaneMode plane_mode) {
   DEC_REQUIRE(target_defect >= 1, "target defect must be >= 1");
   DEC_REQUIRE(is_proper_vertex_coloring(g, input), "input must be proper");
@@ -287,7 +284,7 @@ DefectiveResult defective_precolor(const Graph& g,
 
   DefectiveResult res =
       precolor_message_passing(g, input, p, ledger, num_threads, pool, cancel,
-                               slot_format, plane_mode);
+                               plane_mode);
   res.max_defect = max_of(vertex_defects(g, res.colors));
   DEC_CHECK(res.max_defect <= target_defect,
             "defective precolor exceeded its defect target");
@@ -300,8 +297,7 @@ DefectiveResult defective_refine(const Graph& g,
                                  int move_threshold, int max_sweeps,
                                  RoundLedger* ledger, int num_threads,
                                  bool dirty_announce, NetworkPool* pool,
-                                 CancelToken* cancel, SlotFormat slot_format,
-                                 PlaneMode plane_mode) {
+                                 CancelToken* cancel, PlaneMode plane_mode) {
   DEC_REQUIRE(num_colors >= 2, "refine needs at least two colors");
   DEC_REQUIRE(move_threshold >= (g.max_degree() / num_colors) + 1,
               "threshold too tight: moving nodes could never settle");
@@ -314,8 +310,7 @@ DefectiveResult defective_refine(const Graph& g,
   DefectiveResult res =
       refine_message_passing(g, classes, num_classes, num_colors,
                              move_threshold, max_sweeps, ledger, num_threads,
-                             dirty_announce, pool, cancel, slot_format,
-                             plane_mode);
+                             dirty_announce, pool, cancel, plane_mode);
   res.max_defect = max_of(vertex_defects(g, res.colors));
   if (!res.converged) {
     // The cap was generous; reaching it without meeting the contract means a
@@ -331,7 +326,6 @@ DefectiveResult defective_4_coloring(const Graph& g,
                                      int input_palette, double eps,
                                      RoundLedger* ledger, int num_threads,
                                      NetworkPool* pool, CancelToken* cancel,
-                                     SlotFormat slot_format,
                                      PlaneMode plane_mode) {
   DEC_REQUIRE(eps > 0.0 && eps <= 1.0, "eps must be in (0, 1]");
   const int delta = g.max_degree();
@@ -364,7 +358,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
   const int pre_defect = std::max(1, static_cast<int>(eps * delta / 2.0));
   DefectiveResult pre = defective_precolor(g, input, input_palette, pre_defect,
                                            ledger, num_threads, pool, cancel,
-                                           slot_format, plane_mode);
+                                           plane_mode);
 
   const int margin = std::max(1, static_cast<int>(eps * delta / 4.0));
   // At small Δ the flat +margin +pre_defect headroom can exceed the Lemma
@@ -378,7 +372,7 @@ DefectiveResult defective_4_coloring(const Graph& g,
   DefectiveResult ref =
       defective_refine(g, pre.colors, pre.palette, 4, threshold, max_sweeps,
                        ledger, num_threads, /*dirty_announce=*/true, pool,
-                       cancel, slot_format, plane_mode);
+                       cancel, plane_mode);
   ref.rounds += pre.rounds;
   ref.max_message_bits = std::max(ref.max_message_bits, pre.max_message_bits);
   ref.messages += pre.messages;
@@ -394,7 +388,6 @@ DefectiveResult defective_split_coloring(const Graph& g,
                                          RoundLedger* ledger,
                                          int num_threads, NetworkPool* pool,
                                          CancelToken* cancel,
-                                         SlotFormat slot_format,
                                          PlaneMode plane_mode) {
   const int delta = g.max_degree();
   DEC_REQUIRE(target_defect >= delta / num_colors + 1,
@@ -410,13 +403,13 @@ DefectiveResult defective_split_coloring(const Graph& g,
   const int pre_defect = std::max(1, target_defect / 2);
   DefectiveResult pre = defective_precolor(g, input, input_palette, pre_defect,
                                            ledger, num_threads, pool, cancel,
-                                           slot_format, plane_mode);
+                                           plane_mode);
   const int threshold = std::max(delta / num_colors + 1,
                                  target_defect - pre_defect);
   DefectiveResult ref =
       defective_refine(g, pre.colors, pre.palette, num_colors, threshold, 256,
                        ledger, num_threads, /*dirty_announce=*/true, pool,
-                       cancel, slot_format, plane_mode);
+                       cancel, plane_mode);
   ref.rounds += pre.rounds;
   ref.max_message_bits = std::max(ref.max_message_bits, pre.max_message_bits);
   ref.messages += pre.messages;

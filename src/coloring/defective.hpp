@@ -62,8 +62,7 @@ struct DefectiveResult {
 /// [0, input_palette). Output: target_defect-defective coloring with palette
 /// q² where q = next_prime(max(2, ceil(Δ·d / target_defect))).
 /// All defective stages announce exactly one field per edge per round
-/// (a color or an intent bit), so they default to the 16 B narrow slot
-/// plane (declared width 1) — bit-identical to SlotFormat::kWide. Both
+/// (a color or an intent bit), so their leases declare slot width 1. Both
 /// stages are drain-free (every round reads its whole inbox before writing;
 /// the final consume steps run on local state, not on a drain), so they
 /// default to the single message plane (PlaneMode::kSingle) — bit-identical
@@ -75,7 +74,6 @@ DefectiveResult defective_precolor(const Graph& g,
                                    int num_threads = 1,
                                    NetworkPool* pool = nullptr,
                                    CancelToken* cancel = nullptr,
-                                   SlotFormat slot_format = SlotFormat::kNarrow,
                                    PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// Threshold local search over the classes of `classes` (any coloring with
@@ -94,7 +92,6 @@ DefectiveResult defective_refine(const Graph& g,
                                  bool dirty_announce = true,
                                  NetworkPool* pool = nullptr,
                                  CancelToken* cancel = nullptr,
-                                 SlotFormat slot_format = SlotFormat::kNarrow,
                                  PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// Lemma 6.2: (εΔ + ⌊Δ/2⌋)-defective 4-coloring from a proper O(Δ²)-coloring.
@@ -105,7 +102,6 @@ DefectiveResult defective_4_coloring(const Graph& g,
                                      int num_threads = 1,
                                      NetworkPool* pool = nullptr,
                                      CancelToken* cancel = nullptr,
-                                     SlotFormat slot_format = SlotFormat::kNarrow,
                                      PlaneMode plane_mode = PlaneMode::kSingle);
 
 /// General split: num_colors-coloring with defect ≤ target_defect, where
@@ -119,7 +115,6 @@ DefectiveResult defective_split_coloring(const Graph& g,
                                          int num_threads = 1,
                                          NetworkPool* pool = nullptr,
                                          CancelToken* cancel = nullptr,
-                                         SlotFormat slot_format = SlotFormat::kNarrow,
                                          PlaneMode plane_mode = PlaneMode::kSingle);
 
 }  // namespace dec

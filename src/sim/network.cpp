@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "testing/fault_injection.hpp"
@@ -12,20 +12,13 @@ namespace dec {
 
 namespace {
 
-// Shared plan validation for construction and per-lease rebind: the narrow
-// plane needs a real declared width (it sizes the spill blocks and the 8-bit
-// slot count must hold it); the wide plane accepts 0 (unchecked, the
-// historical behavior) or any positive declared bound.
+// Shared plan validation for construction and per-lease rebind: the
+// declared width sizes the spill blocks, and the 8-bit slot count must hold
+// it.
 void validate_plan(const SlotPlan& plan) {
-  if (plan.format == SlotFormat::kNarrow) {
-    DEC_REQUIRE(plan.max_fields >= 1 &&
-                    plan.max_fields <=
-                        static_cast<int>(NarrowSlot::kMaxFields),
-                "narrow slot plan requires declared max_fields in [1, 255]");
-  } else {
-    DEC_REQUIRE(plan.max_fields >= 0,
-                "wide slot plan requires declared max_fields >= 0");
-  }
+  DEC_REQUIRE(plan.max_fields >= 1 &&
+                  plan.max_fields <= static_cast<int>(NarrowSlot::kMaxFields),
+              "slot plan requires declared max_fields in [1, 255]");
 }
 
 }  // namespace
@@ -43,7 +36,6 @@ SyncNetwork::SyncNetwork(const Graph& g,
   DEC_REQUIRE(topo_ != nullptr, "null topology");
   DEC_REQUIRE(topo_->matches(g), "topology does not fit the graph");
   validate_plan(plan);
-  format_ = plan.format;
   mode_ = plan.mode;
   declared_fields_ = plan.max_fields;
   bind_ledger(ledger, std::move(component));
@@ -59,31 +51,23 @@ void SyncNetwork::bind_ledger(RoundLedger* ledger, std::string component) {
   }
 }
 
-// Fit the run state to topo_: size both buffer planes, size the shard set,
-// and bind every slot's spill target to its shard's slab. Reuses existing
-// vector capacity — a pooled network that has seen a larger plan allocates
-// nothing here. Stale messages keep their old epoch tags (always below any
-// future read epoch, so they read as empty) and may hold dangling slab
-// pointers; the lazy outbox reset (reset_storage on first touch) drops those
-// before any use, exactly as it does across ordinary rounds.
+// Fit the run state to topo_: size the buffer plane(s) and the shard set.
+// Reuses existing vector capacity — a pooled network that has seen a larger
+// plan allocates nothing here. Stale slots keep their old epoch tags (always
+// below any future read epoch, so they read as empty) and may hold stale
+// spill indices; the first-touch stamp clears those before any use, exactly
+// as it does across ordinary rounds.
 void SyncNetwork::bind_plan() {
   offsets_ = topo_->offsets().data();
   peer_slot_ = topo_->peer_slot().data();
   iota_ = topo_->iota_map().data();
   shard_begin_ = topo_->shard_begin().data();
 
-  // Only the active format's plane pair is sized; the other pair stays at
-  // whatever it was (capacity 0 for the life of the run state, since the
-  // format never changes). A single-plane state sizes only the `a` plane —
-  // that IS the memory win — and in_/out_ both point at it (point_planes).
+  // A single-plane state sizes only the `a` plane — that IS the memory win
+  // — and in_/out_ both point at it (point_planes).
   const std::size_t slots = topo_->num_slots();
-  if (format_ == SlotFormat::kWide) {
-    buf_a_.resize(slots);
-    if (mode_ == PlaneMode::kDouble) buf_b_.resize(slots);
-  } else {
-    nbuf_a_.resize(slots);
-    if (mode_ == PlaneMode::kDouble) nbuf_b_.resize(slots);
-  }
+  buf_a_.resize(slots);
+  if (mode_ == PlaneMode::kDouble) buf_b_.resize(slots);
   point_planes();
 
   const int num_shards = topo_->num_shards();
@@ -99,29 +83,14 @@ void SyncNetwork::bind_plan() {
       (pool_ == nullptr || pool_->num_threads() < num_shards)) {
     pool_ = std::make_unique<ThreadPool>(num_shards);
   }
-  // Slot -> shard boundaries, used by narrow spill resolution (and cheap to
-  // keep around either way).
+  // Slot -> shard boundaries, used by spill resolution. Slots carry slab
+  // indices, not bindings; the outbox hands each write the executing
+  // shard's arena directly.
   shard_slot_begin_.resize(static_cast<std::size_t>(num_shards) + 1);
   for (int s = 0; s <= num_shards; ++s) {
     shard_slot_begin_[static_cast<std::size_t>(s)] =
         offsets_[static_cast<std::size_t>(shard_begin_[s])];
   }
-  if (format_ == SlotFormat::kWide) {
-    for (int s = 0; s < num_shards; ++s) {
-      Shard& sh = shards_[static_cast<std::size_t>(s)];
-      const std::size_t lo = shard_slot_begin_[static_cast<std::size_t>(s)];
-      const std::size_t hi =
-          shard_slot_begin_[static_cast<std::size_t>(s) + 1];
-      for (std::size_t slot = lo; slot < hi; ++slot) {
-        buf_a_[slot].bind_slab(&sh.slab_a);
-        if (mode_ == PlaneMode::kDouble) buf_b_[slot].bind_slab(&sh.slab_b);
-      }
-    }
-  }
-  // Narrow slots carry slab indices, not bindings; the outbox hands each
-  // write the owning shard's arena directly. (Single-plane wide outboxes
-  // re-bind per first touch — see Outbox — so the static binding above is
-  // only the even-round direct-addressed case.)
   reset();
 }
 
@@ -131,13 +100,8 @@ void SyncNetwork::bind_plan() {
 // not once a single flag tracks both); in single mode both pointers share
 // the one plane and the flag simply restarts the parity at even.
 void SyncNetwork::point_planes() {
-  if (format_ == SlotFormat::kWide) {
-    out_ = buf_a_.data();
-    in_ = mode_ == PlaneMode::kDouble ? buf_b_.data() : buf_a_.data();
-  } else {
-    nout_ = nbuf_a_.data();
-    nin_ = mode_ == PlaneMode::kDouble ? nbuf_b_.data() : nbuf_a_.data();
-  }
+  out_ = buf_a_.data();
+  in_ = mode_ == PlaneMode::kDouble ? buf_b_.data() : buf_a_.data();
   out_is_a_ = true;
 }
 
@@ -145,7 +109,9 @@ void SyncNetwork::reset() {
   // One bump strands every tag either plane can carry: the last finished
   // round wrote epoch E (now sitting in the inbox plane), the next round
   // will read epoch E + 1 and write E + 2. Epochs never rewind (see the
-  // header), so slots from any earlier run stay unreadable forever.
+  // header; renormalization keeps that true across the 32-bit range), so
+  // slots from any earlier run stay unreadable. No sweep happens here:
+  // service workers reset a lease per job.
   ++epoch_;
   rounds_ = 0;
   audit_.reset();
@@ -184,11 +150,9 @@ void SyncNetwork::rebind(const Graph& g,
                          RoundLedger* ledger, std::string component,
                          SlotPlan plan) {
   validate_plan(plan);
-  // Format and plane mode are structural — pooled leases filter by both
-  // before adopting a parked run state, so a mismatch here is a pool bug,
-  // not a user error.
-  DEC_REQUIRE(plan.format == format_,
-              "rebind cannot change a network's slot format");
+  // The plane mode is structural — pooled leases filter by it before
+  // adopting a parked run state, so a mismatch here is a pool bug, not a
+  // user error.
   DEC_REQUIRE(plan.mode == mode_,
               "rebind cannot change a network's plane mode");
   declared_fields_ = plan.max_fields;
@@ -209,36 +173,53 @@ void SyncNetwork::begin_round() {
                     " after writing slots, overwriting last round's deliveries "
                     "in place — reset() (or release the lease) before reuse");
   }
+  if (epoch_ >= kEpochRenormalizeAt) [[unlikely]] renormalize_epochs();
   ++epoch_;
   // The buffer about to be written was the inbox two rounds ago; its spill
   // arenas can be rewound now that that round's reads are long done. Stale
-  // slot payloads may dangle into the rewound arena, but a stale slot is
-  // reset (reset_storage) before first use and never read through an Inbox.
+  // slots may hold spill indices into the rewound arena, but a stale slot is
+  // stamped before first use and never read through an inbox.
   for (Shard& sh : shards_) {
     (out_is_a_ ? sh.slab_a : sh.slab_b).reset();
   }
 }
 
+// Restart the epoch counter before it can wrap. The live delivery — slots
+// tagged epoch_, which the next round reads at epoch_ after the bump — is
+// re-stamped to 1 with its count and spill index kept; every other slot is
+// stale and goes to 0. epoch_ restarts at 1, so the next round reads 1 and
+// writes 2: epoch 0 is still never a write epoch (abort_round relies on
+// that), no tag exceeds the counter, and kNoHazardEpoch stays unreachable.
+// One O(slots) pass over the planes per ~2^31 bumps.
+void SyncNetwork::renormalize_epochs() {
+  for (std::vector<NarrowSlot>* plane : {&buf_a_, &buf_b_}) {
+    for (NarrowSlot& s : *plane) {
+      s.header_ = s.epoch() == epoch_
+                      ? (std::uint64_t{1} << 32) | (s.header_ & 0xffffffffu)
+                      : 0;
+    }
+  }
+  epoch_ = 1;
+}
+
+void SyncNetwork::seed_epoch_for_testing(std::uint32_t e) {
+  reset();
+  epoch_ = std::max(epoch_, e);
+}
+
 // A node program threw mid-round (DEC_CHECK is the library's failure mode).
 // Undo the partial round so the network stays usable: un-stamp and empty
 // every slot written this round (epoch 0 is never a write epoch, so the
-// slots read as stale/empty and lazily reset on their next use), drop the
-// per-shard audit/touched state, and rewind the epoch. The inbox buffer is
-// untouched, so the previous round's delivery is still readable.
+// slots read as stale/empty and are stamped afresh on their next use), drop
+// the per-shard audit/touched state, and rewind the epoch. The inbox buffer
+// is untouched, so the previous round's delivery is still readable.
 void SyncNetwork::abort_round() {
   bool touched_any = false;
   for (Shard& sh : shards_) {
     touched_any = touched_any || !sh.touched.empty();
-    if (format_ == SlotFormat::kWide) {
-      for (const std::uint32_t s : sh.touched) {
-        out_[s].reset_storage();
-        out_[s].set_epoch(0);
-      }
-    } else {
-      // Zeroing the header un-stamps the slot (epoch 0 is never a write
-      // epoch) and drops count and spill index in one store.
-      for (const std::uint32_t s : sh.touched) nout_[s].header_ = 0;
-    }
+    // Zeroing the header un-stamps the slot (epoch 0 is never a write
+    // epoch) and drops count and spill index in one store.
+    for (const std::uint32_t s : sh.touched) out_[s].header_ = 0;
     sh.touched.clear();
     sh.audit.reset();
   }
@@ -258,12 +239,10 @@ void SyncNetwork::finish_round() {
     sh.audit.reset();
     sh.touched.clear();
   }
-  // Delivery: the peer permutation is baked into Inbox reads, so handing the
-  // written buffer to the readers is a pointer swap. Both format's pointer
-  // pairs swap (the inactive pair is null/null — swapping is free and keeps
-  // this path branchless).
+  // Delivery: the peer permutation is baked into inbox reads, so handing the
+  // written buffer to the readers is a pointer swap (a no-op on a single
+  // plane, where both point at the one plane).
   std::swap(in_, out_);
-  std::swap(nin_, nout_);
   out_is_a_ = !out_is_a_;
   ++rounds_;
   if (counter_.has_value()) counter_->charge(1);
@@ -285,7 +264,7 @@ void SyncNetwork::throw_width_violation(NodeId v, std::size_t slot,
       std::to_string(v) + " slot " + std::to_string(slot) + " reached " +
       std::to_string(actual) + " fields but the lease declared max_fields=" +
       std::to_string(declared) +
-      " — raise the declared width (or use a wide slot plan); the substrate "
+      " — raise the lease's declared max_fields (at most 255); the substrate "
       "never truncates";
   DEC_CHECK(false, msg);
   std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
@@ -296,7 +275,7 @@ void SyncNetwork::throw_single_plane_drain() const {
       "drain on a single-plane lease: component '" + component_ +
       "' after round " + std::to_string(rounds_) +
       " — a single plane overwrites last round's deliveries in place, so "
-      "drain_fast/drain_as has nothing stable to re-read; pipelined "
+      "drain_fast has nothing stable to re-read; pipelined "
       "protocols that re-read deliveries need PlaneMode::kDouble";
   DEC_REQUIRE(false, msg);
   std::abort();  // unreachable: DEC_REQUIRE(false, ...) always throws
@@ -314,11 +293,5 @@ void SyncNetwork::throw_single_plane_hazard(NodeId v,
   DEC_CHECK(false, msg);
   std::abort();  // unreachable: DEC_CHECK(false, ...) always throws
 }
-
-ParallelSyncNetwork::ParallelSyncNetwork(const Graph& g, RoundLedger* ledger,
-                                         std::string component,
-                                         int num_threads)
-    : SyncNetwork(g, ledger, std::move(component),
-                  resolve_num_threads(num_threads)) {}
 
 }  // namespace dec

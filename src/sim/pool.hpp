@@ -66,7 +66,7 @@ class NetworkPool {
  public:
   /// Stand-alone view: privately owns a SharedNetworkPool. All leased
   /// networks run with `num_threads` shards (0 picks hardware concurrency,
-  /// like ParallelSyncNetwork).
+  /// see resolve_num_threads).
   explicit NetworkPool(int num_threads = 1);
 
   /// Tenant view over a shared arena: topology plans and parked run states
@@ -150,9 +150,9 @@ class NetworkPool {
 
   /// Lease a run state bound to `g` (topology cached-or-planned), reset and
   /// charging rounds to `ledger` under `component`. `plan` is the lease's
-  /// slot plan (per-arc for dinetwork, see DiNetwork): the format is part of
-  /// the run-state identity — only same-format idle/parked states are
-  /// reused; a format miss constructs fresh — while the declared width is
+  /// slot plan (per-arc for dinetwork, see DiNetwork): the plane mode is
+  /// part of the run-state identity — only same-mode idle/parked states are
+  /// reused; a mode miss constructs fresh — while the declared width is
   /// re-bound per lease.
   NetworkLease network(const Graph& g, RoundLedger* ledger = nullptr,
                        std::string component = "network", SlotPlan plan = {});

@@ -1,32 +1,13 @@
 #include "sim/slab.hpp"
 
-#include <algorithm>
-
 #include "testing/fault_injection.hpp"
 #include "util/check.hpp"
 
 namespace dec {
 
-std::int64_t* MessageSlab::allocate(std::size_t n) {
+std::uint32_t MessageSlab::allocate_index(std::size_t n) {
   // Chaos hook: an armed kAllocFail plan throws std::bad_alloc from inside
   // a running round, exercising abort_round on whichever shard spilled.
-  DEC_FAULT_POINT("slab.alloc");
-  while (chunk_ < chunks_.size() && offset_ + n > chunks_[chunk_].size) {
-    ++chunk_;
-    offset_ = 0;
-  }
-  if (chunk_ == chunks_.size()) {
-    const std::size_t size = std::max(kChunkFields, n);
-    chunks_.push_back(Chunk{std::make_unique<std::int64_t[]>(size), size});
-    offset_ = 0;
-  }
-  std::int64_t* p = chunks_[chunk_].data.get() + offset_;
-  offset_ += n;
-  used_ += n;
-  return p;
-}
-
-std::uint32_t MessageSlab::allocate_index(std::size_t n) {
   DEC_FAULT_POINT("slab.alloc");
   DEC_REQUIRE(n <= kChunkFields,
               "index-addressed slab block wider than one chunk");
@@ -35,22 +16,13 @@ std::uint32_t MessageSlab::allocate_index(std::size_t n) {
     offset_ = 0;
   }
   if (chunk_ == chunks_.size()) {
-    chunks_.push_back(
-        Chunk{std::make_unique<std::int64_t[]>(kChunkFields), kChunkFields});
+    chunks_.push_back(std::make_unique<std::int64_t[]>(kChunkFields));
     offset_ = 0;
   }
-  // Index addressing assumes uniform chunks; a slab that ever served an
-  // oversized allocate() chunk cannot serve this path. Cannot happen on a
-  // narrow-format network (its slabs see only allocate_index), so this is
-  // purely defensive.
-  DEC_CHECK(chunks_[chunk_].size == kChunkFields,
-            "slab holds non-uniform chunks; index addressing requires an "
-            "allocate_index-only slab");
   const std::size_t idx = (chunk_ << kChunkShift) | offset_;
   DEC_CHECK(idx <= 0xffffff,
-            "narrow-slot spill arena exhausted: more than 2^24 spilled "
-            "fields in one shard's round — declare a wide slot plan for "
-            "this protocol or shard the run further");
+            "slot spill arena exhausted: more than 2^24 spilled fields in "
+            "one shard's round — shard the run further");
   offset_ += n;
   used_ += n;
   return static_cast<std::uint32_t>(idx);

@@ -89,9 +89,13 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
 }
 
 // Deterministic per-node fold over everything delivered; one round of the
-// same traffic pattern as test_network_pool's protocol (spills included).
+// same traffic pattern as test_network_pool's protocol (spills included, up
+// to kProtocolWidth fields, which every network running it declares).
+constexpr int kProtocolWidth = 9;
+const SlotPlan kProtocolPlan{.max_fields = kProtocolWidth};
+
 void protocol_round(SyncNetwork& net, std::vector<std::uint64_t>& acc, int r) {
-  net.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
+  net.round_fast([&](NodeId v, const auto& in, auto&& out) {
     auto& a = acc[static_cast<std::size_t>(v)];
     for (std::size_t i = 0; i < in.size(); ++i) {
       for (const std::int64_t f : in[i].fields()) {
@@ -102,11 +106,10 @@ void protocol_round(SyncNetwork& net, std::vector<std::uint64_t>& acc, int r) {
       const std::int64_t sig = static_cast<std::int64_t>(v) * 1315423911 +
                                static_cast<std::int64_t>(i) * 97 + r;
       if (sig % 3 == 0) continue;
-      Message& m = out[i];
-      m = Message{sig};
+      auto&& m = out[i];
+      m.assign({sig});
       if (sig % 5 == 0) {
-        for (int k = 1; k <= 2 * static_cast<int>(Message::kInlineFields);
-             ++k) {
+        for (int k = 1; k < kProtocolWidth; ++k) {
           m.push(sig + k);
         }
       }
@@ -127,7 +130,7 @@ void check_abort_leaves_post_round_state(int num_threads) {
   constexpr int kRounds = 6;
   constexpr int kBudget = 3;
 
-  SyncNetwork ref_net(g, nullptr, "net", num_threads);
+  SyncNetwork ref_net(g, nullptr, "net", num_threads, kProtocolPlan);
   std::vector<std::uint64_t> ref(
       static_cast<std::size_t>(g.num_nodes()), 0);
   for (int r = 0; r < kRounds; ++r) protocol_round(ref_net, ref, r);
@@ -135,7 +138,7 @@ void check_abort_leaves_post_round_state(int num_threads) {
   // Budgeted run: the abort must surface at the barrier of round kBudget+1,
   // with the network at the exact post-round-kBudget state — detaching the
   // token and continuing must land on the reference, bit for bit.
-  SyncNetwork net(g, nullptr, "net", num_threads);
+  SyncNetwork net(g, nullptr, "net", num_threads, kProtocolPlan);
   CancelToken token;
   token.set_round_budget(kBudget);
   net.set_cancel(&token);
@@ -177,7 +180,7 @@ TEST(Cancellation, AbortLeavesPostRoundState4Shards) {
 TEST(Cancellation, RequestFromAnotherThreadStopsTheRoundLoop) {
   Rng rng(11);
   const Graph g = gen::gnp(40, 0.15, rng);
-  SyncNetwork net(g, nullptr, "net", 1);
+  SyncNetwork net(g, nullptr, "net", 1, kProtocolPlan);
   CancelToken token;
   net.set_cancel(&token);
   token.request_cancel();  // "another thread" won before the next barrier
@@ -213,7 +216,7 @@ void check_dinetwork_reset_after_abort(int num_threads) {
   params.alpha.assign(static_cast<std::size_t>(dg.num_nodes()), 3);
   std::vector<int> init(static_cast<std::size_t>(dg.num_nodes()));
   Rng trng(12);
-  for (auto& t : init) {
+  for (auto&& t : init) {
     t = static_cast<int>(
         trng.next_below(static_cast<std::uint64_t>(params.k) + 1));
   }
@@ -239,13 +242,13 @@ void check_dinetwork_reset_after_abort(int num_threads) {
 
   // Raw-lease variant: abort at the barrier, release dirty, release clean.
   {
-    auto lease = pool.dinetwork(dg);
+    auto lease = pool.dinetwork(dg, nullptr, "dinetwork", SlotPlan{.max_fields = 4});
     CancelToken token;
     token.set_round_budget(1);
     lease->set_cancel(&token);
     const auto spam = [&] {
       for (int r = 0; r < 3; ++r) {
-        lease->round_fast([&](NodeId v, const DiInbox&, DiOutbox& out) {
+        lease->round_fast([&](NodeId v, const auto&, DiOutbox& out) {
           const auto deg = dg.out(v).size();
           for (std::size_t j = 0; j < deg; ++j) {
             out.along(j, {static_cast<std::int64_t>(v), 1, 2, 3});
@@ -257,7 +260,7 @@ void check_dinetwork_reset_after_abort(int num_threads) {
     EXPECT_EQ(lease->rounds_executed(), 1);
   }  // released dirty, token destroyed (release must have detached it)
   {
-    auto lease = pool.dinetwork(dg);
+    auto lease = pool.dinetwork(dg, nullptr, "dinetwork", SlotPlan{.max_fields = 4});
     EXPECT_EQ(lease->rounds_executed(), 0);
     EXPECT_EQ(lease->audit().messages_sent(), 0);
     EXPECT_EQ(lease->cancel(), nullptr);  // stale token never survives
@@ -332,9 +335,9 @@ TEST(LeaseAbandonment, AllFiveSolversParkCleanStateOnAbort) {
   const auto bg = test_bipartite(14);
   std::vector<double> eta(static_cast<std::size_t>(bg.graph.num_edges()));
   Rng wrng(15);
-  for (auto& v : eta) v = 3.0 * (2.0 * wrng.next_double() - 1.0);
+  for (auto&& v : eta) v = 3.0 * (2.0 * wrng.next_double() - 1.0);
   std::vector<double> lambda(static_cast<std::size_t>(bg.graph.num_edges()));
-  for (auto& v : lambda) v = wrng.next_double();
+  for (auto&& v : lambda) v = wrng.next_double();
   Rng grng(16);
   const Digraph game = layered_game(4, 8, 3, grng);
   TokenDroppingParams tp;

@@ -134,16 +134,16 @@ TEST_F(ChaosTest, ExhaustedRetriesSurfaceTheTransientAsFailed) {
 }
 
 TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
-  // The orchestrated solvers keep payloads inside Message's inline capacity,
-  // so "slab.alloc" is exercised at the substrate level: a spill-heavy
-  // protocol whose 3rd slab allocation throws std::bad_alloc from inside a
-  // running round. reset() must then hand back a state bit-identical to
-  // fresh.
+  // "slab.alloc" is exercised at the substrate level: a spill-heavy
+  // protocol (9-field messages, declared by its networks) whose 3rd slab
+  // allocation throws std::bad_alloc from inside a running round. reset()
+  // must then hand back a state bit-identical to fresh.
+  const SlotPlan slot_plan{.max_fields = 9};
   Rng rng(21);
   const Graph g = gen::gnp(40, 0.2, rng);
   auto spam = [&](SyncNetwork& net, int rounds) {
     for (int r = 0; r < rounds; ++r) {
-      net.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
+      net.round_fast([&](NodeId v, const auto& in, auto&& out) {
         std::uint64_t acc = 0;
         for (std::size_t i = 0; i < in.size(); ++i) {
           for (const std::int64_t f : in[i].fields()) {
@@ -151,17 +151,16 @@ TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
           }
         }
         for (std::size_t i = 0; i < out.size(); ++i) {
-          Message& m = out[i];
-          m = Message{static_cast<std::int64_t>(v)};
-          for (int k = 0; k < 2 * static_cast<int>(Message::kInlineFields);
-               ++k) {
+          auto&& m = out[i];
+          m.assign({static_cast<std::int64_t>(v)});
+          for (int k = 0; k < 8; ++k) {
             m.push(k + static_cast<std::int64_t>(acc % 7));
           }
         }
       });
     }
     std::uint64_t fold = 0;
-    net.drain_fast([&](NodeId v, const Inbox& in) {
+    net.drain_fast([&](NodeId v, const auto& in) {
       for (std::size_t i = 0; i < in.size(); ++i) {
         for (const std::int64_t f : in[i].fields()) {
           fold = fold * 31 + static_cast<std::uint64_t>(f) +
@@ -173,14 +172,14 @@ TEST_F(ChaosTest, SlabAllocFailureAbortsMidRoundAndResetsClean) {
                       net.audit().messages_sent());
   };
 
-  SyncNetwork ref_net(g, nullptr, "net", 1);
+  SyncNetwork ref_net(g, nullptr, "net", 1, slot_plan);
   const auto ref = spam(ref_net, 4);
 
   fault::FaultPlan plan;
   plan.action = fault::Action::kAllocFail;
   plan.fire_at = 2;
   fault::arm("slab.alloc", plan);
-  SyncNetwork net(g, nullptr, "net", 1);
+  SyncNetwork net(g, nullptr, "net", 1, slot_plan);
   EXPECT_THROW(spam(net, 4), std::bad_alloc);
   EXPECT_GE(fault::hits("slab.alloc"), 3);
   EXPECT_EQ(fault::fired("slab.alloc"), 1);

@@ -307,8 +307,8 @@ TEST(CsrIo, LargeGraphSmoke) {
     NetworkPool pool(1);
     auto lease = pool.network(loaded);
     for (int r = 0; r < 3; ++r) {
-      lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-        for (auto& msg : out) msg = Message{v};
+      lease->round_fast([](NodeId v, const auto&, auto&& out) {
+        for (auto&& msg : out) msg.assign({v});
       });
     }
     EXPECT_EQ(lease->rounds_executed(), 3);

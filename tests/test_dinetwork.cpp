@@ -18,10 +18,10 @@ TEST(DiNetwork, DeliversAlongArcs) {
   // arrives against the direction unless sent.
   const Digraph g(3, {{0, 1}, {1, 2}, {2, 0}});
   DiNetwork net(g);
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     out.along(0, {10 + v});
   });
-  net.round_fast([&](NodeId v, const DiInbox& in, DiOutbox&) {
+  net.round_fast([&](NodeId v, const auto& in, DiOutbox&) {
     ASSERT_EQ(g.in(v).size(), 1u);
     const ArcView got = in.along(0);
     ASSERT_FALSE(got.empty());
@@ -33,11 +33,11 @@ TEST(DiNetwork, DeliversAlongArcs) {
 
 TEST(DiNetwork, DeliversAgainstArcs) {
   const Digraph g(3, {{0, 1}, {1, 2}, {2, 0}});
-  DiNetwork net(g);
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  DiNetwork net(g, nullptr, "dinetwork", 1, SlotPlan{.max_fields = 2});
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     out.against(0, {100 + v, 7});  // head replies toward its in-arc's tail
   });
-  net.round_fast([&](NodeId v, const DiInbox& in, DiOutbox&) {
+  net.round_fast([&](NodeId v, const auto& in, DiOutbox&) {
     const ArcView got = in.against(0);  // read on the out-arc at the tail
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got.at(0), 100 + g.out(v)[0].node);
@@ -50,17 +50,17 @@ TEST(DiNetwork, AntiparallelArcsAreIndependentLanes) {
   // 0 <-> 1: one support edge, two lanes; both forward channels used in the
   // same round must not interfere.
   const Digraph g(2, {{0, 1}, {1, 0}});
-  DiNetwork net(g);
+  DiNetwork net(g, nullptr, "dinetwork", 1, SlotPlan{.max_fields = 2});
   EXPECT_EQ(net.support().num_edges(), 1);
   EXPECT_EQ(net.lane_count(0), 2u);
   EXPECT_EQ(net.lane_count(1), 2u);
   EXPECT_NE(net.lane(0), net.lane(1));
 
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     out.along(0, {1000 + v});        // forward on my out-arc
     out.against(0, {2000 + v, 42});  // backward on my in-arc
   });
-  net.round_fast([](NodeId v, const DiInbox& in, DiOutbox&) {
+  net.round_fast([](NodeId v, const auto& in, DiOutbox&) {
     const NodeId peer = 1 - v;
     const ArcView fwd = in.along(0);  // peer's forward send on my in-arc
     ASSERT_EQ(fwd.size(), 1u);
@@ -75,16 +75,16 @@ TEST(DiNetwork, AntiparallelArcsAreIndependentLanes) {
 TEST(DiNetwork, ParallelArcsAreIndependentLanes) {
   // Two arcs 0 -> 1: one support edge, two lanes, distinct payloads per arc.
   const Digraph g(2, {{0, 1}, {0, 1}});
-  DiNetwork net(g);
+  DiNetwork net(g, nullptr, "dinetwork", 1, SlotPlan{.max_fields = 2});
   EXPECT_EQ(net.support().num_edges(), 1);
   EXPECT_EQ(net.lane_count(0), 2u);
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     if (v == 0) {
       out.along(0, {11});
       out.along(1, {22, 23});
     }
   });
-  net.round_fast([](NodeId v, const DiInbox& in, DiOutbox&) {
+  net.round_fast([](NodeId v, const auto& in, DiOutbox&) {
     if (v == 1) {
       ASSERT_EQ(in.along(0).size(), 1u);
       EXPECT_EQ(in.along(0).at(0), 11);
@@ -100,10 +100,10 @@ TEST(DiNetwork, PartialLaneWritesLeaveOtherLanesEmpty) {
   // not garbage from the frame.
   const Digraph g(2, {{0, 1}, {1, 0}});
   DiNetwork net(g);
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     if (v == 0) out.along(0, {5});
   });
-  net.round_fast([](NodeId v, const DiInbox& in, DiOutbox&) {
+  net.round_fast([](NodeId v, const auto& in, DiOutbox&) {
     if (v == 1) {
       ASSERT_EQ(in.along(0).size(), 1u);
       EXPECT_EQ(in.along(0).at(0), 5);
@@ -121,7 +121,7 @@ TEST(DiNetwork, SingleLanePayloadsAreUnframed) {
   // the audit charges exactly the solver's bits (here one field of value 5).
   const Digraph g(2, {{0, 1}});
   DiNetwork net(g);
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     if (v == 0) out.along(0, {5});
   });
   EXPECT_EQ(net.audit().messages_sent(), 1);
@@ -132,11 +132,11 @@ TEST(DiNetwork, DrainReadsLastRoundWithoutCharging) {
   const Digraph g(2, {{0, 1}});
   RoundLedger ledger;
   DiNetwork net(g, &ledger, "dtest");
-  net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+  net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
     if (v == 0) out.along(0, {9});
   });
   bool saw = false;
-  net.drain_fast([&](NodeId v, const DiInbox& in) {
+  net.drain_fast([&](NodeId v, const auto& in) {
     if (v == 1 && !in.along(0).empty() && in.along(0).at(0) == 9) saw = true;
   });
   EXPECT_TRUE(saw);
@@ -149,7 +149,7 @@ TEST(DiNetwork, ChargesLedgerPerRound) {
   RoundLedger ledger;
   DiNetwork net(g, &ledger, "game");
   for (int r = 0; r < 5; ++r) {
-    net.round_fast([](NodeId, const DiInbox&, DiOutbox&) {});
+    net.round_fast([](NodeId, const auto&, DiOutbox&) {});
   }
   EXPECT_EQ(ledger.component("game"), 5);
   EXPECT_EQ(net.rounds_executed(), 5);
@@ -157,9 +157,10 @@ TEST(DiNetwork, ChargesLedgerPerRound) {
 
 TEST(DiNetwork, RejectsOverwidePayload) {
   const Digraph g(2, {{0, 1}});
-  DiNetwork net(g);
+  DiNetwork net(g, nullptr, "dinetwork", 1,
+                SlotPlan{.max_fields = DiNetwork::kMaxArcFields});
   EXPECT_THROW(
-      net.round_fast([](NodeId v, const DiInbox&, DiOutbox& out) {
+      net.round_fast([](NodeId v, const auto&, DiOutbox& out) {
         if (v == 0) out.along(0, {1, 2, 3, 4, 5});  // > kMaxArcFields
       }),
       CheckError);
@@ -170,14 +171,14 @@ TEST(DiNetwork, RejectsOverwidePayload) {
 // for SyncNetwork; this covers the adapter's scratch/packing layer).
 void check_directed_engine_equivalence(const Digraph& g) {
   auto run = [&](int threads) {
-    DiNetwork net(g, nullptr, "d", threads);
+    DiNetwork net(g, nullptr, "d", threads, SlotPlan{.max_fields = 2});
     std::vector<std::int64_t> state(static_cast<std::size_t>(g.num_nodes()));
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       state[static_cast<std::size_t>(v)] = v + 1;
     }
     for (int r = 0; r < 6; ++r) {
       std::vector<std::int64_t> next(state);
-      net.round_fast([&](NodeId v, const DiInbox& in, DiOutbox& out) {
+      net.round_fast([&](NodeId v, const auto& in, DiOutbox& out) {
         std::int64_t acc = state[static_cast<std::size_t>(v)];
         for (std::size_t j = 0; j < g.in(v).size(); ++j) {
           const ArcView m = in.along(j);

@@ -43,14 +43,18 @@ struct ProtocolTrace {
 };
 
 // Deterministic multi-round protocol with empty slots, inline payloads, and
-// slab spills; each node folds its inbox into its own accumulator slot, so
-// the trace is shard-confined and bit-identical across engines.
+// slab spills (up to kProtocolWidth fields, which every network running it
+// declares); each node folds its inbox into its own accumulator slot, so the
+// trace is shard-confined and bit-identical across engines.
+constexpr int kProtocolWidth = 9;
+const SlotPlan kProtocolPlan{.max_fields = kProtocolWidth};
+
 ProtocolTrace run_protocol(SyncNetwork& net, int rounds) {
   const Graph& g = net.graph();
   ProtocolTrace t;
   t.acc.assign(static_cast<std::size_t>(g.num_nodes()), 0);
   for (int r = 0; r < rounds; ++r) {
-    net.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
+    net.round_fast([&](NodeId v, const auto& in, auto&& out) {
       auto& a = t.acc[static_cast<std::size_t>(v)];
       for (std::size_t i = 0; i < in.size(); ++i) {
         for (const std::int64_t f : in[i].fields()) {
@@ -62,11 +66,10 @@ ProtocolTrace run_protocol(SyncNetwork& net, int rounds) {
             static_cast<std::int64_t>(v) * 1315423911 +
             static_cast<std::int64_t>(i) * 97 + r;
         if (sig % 3 == 0) continue;  // send nothing on this incidence
-        Message& m = out[i];
-        m = Message{sig};
+        auto&& m = out[i];
+        m.assign({sig});
         if (sig % 5 == 0) {  // force a slab spill
-          for (int k = 1; k <= 2 * static_cast<int>(Message::kInlineFields);
-               ++k) {
+          for (int k = 1; k < kProtocolWidth; ++k) {
             m.push(sig + k);
           }
         }
@@ -74,7 +77,7 @@ ProtocolTrace run_protocol(SyncNetwork& net, int rounds) {
     });
   }
   // Fold the final round's deliveries (free receive).
-  net.drain_fast([&](NodeId v, const Inbox& in) {
+  net.drain_fast([&](NodeId v, const auto& in) {
     auto& a = t.acc[static_cast<std::size_t>(v)];
     for (std::size_t i = 0; i < in.size(); ++i) {
       for (const std::int64_t f : in[i].fields()) {
@@ -123,7 +126,7 @@ TEST(NetworkPool, TopologyMatchesGraphShape) {
 void check_reset_identity(int num_threads) {
   Rng rng(3);
   const Graph g = gen::gnp(70, 0.12, rng);
-  SyncNetwork fresh(g, nullptr, "net", num_threads);
+  SyncNetwork fresh(g, nullptr, "net", num_threads, kProtocolPlan);
   const ProtocolTrace ref = run_protocol(fresh, 6);
   EXPECT_GT(ref.messages, 0);
   EXPECT_GT(ref.max_bits, 0);
@@ -138,7 +141,7 @@ void check_reset_identity(int num_threads) {
   // And a pool lease over the same graph shape behaves like fresh too.
   NetworkPool pool(num_threads);
   for (int lease_round = 0; lease_round < 3; ++lease_round) {
-    auto lease = pool.network(g, nullptr, "net");
+    auto lease = pool.network(g, nullptr, "net", kProtocolPlan);
     const ProtocolTrace pooled = run_protocol(*lease, 6);
     EXPECT_EQ(ref.key(), pooled.key()) << "lease " << lease_round;
   }
@@ -154,20 +157,19 @@ TEST(NetworkPool, ResetBitIdentity4Shards) { check_reset_identity(4); }
 void check_reset_after_abort(int num_threads) {
   Rng rng(4);
   const Graph g = gen::gnp(50, 0.15, rng);
-  SyncNetwork fresh(g, nullptr, "net", num_threads);
+  SyncNetwork fresh(g, nullptr, "net", num_threads, kProtocolPlan);
   const ProtocolTrace ref = run_protocol(fresh, 5);
 
-  SyncNetwork dirty(g, nullptr, "net", num_threads);
+  SyncNetwork dirty(g, nullptr, "net", num_threads, kProtocolPlan);
   (void)run_protocol(dirty, 3);  // leave real traffic in both planes
   const auto aborted = [&] {
-    dirty.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
+    dirty.round_fast([&](NodeId v, const auto&, auto&& out) {
       // Write (and spill) into many slots before one node throws, so the
       // aborted round leaves maximal debris for reset() to not leak.
       for (std::size_t i = 0; i < out.size(); ++i) {
-        Message& m = out[i];
-        m = Message{v};
-        for (int k = 0; k < 2 * static_cast<int>(Message::kInlineFields);
-             ++k) {
+        auto&& m = out[i];
+        m.assign({v});
+        for (int k = 0; k < kProtocolWidth - 1; ++k) {
           m.push(k);
         }
       }
@@ -193,19 +195,19 @@ TEST(NetworkPool, AbortedLeaseIsCleanOnReuse) {
   const Graph g = gen::grid(6, 7);
   NetworkPool pool(2);
   {
-    auto lease = pool.network(g, nullptr, "net");
+    auto lease = pool.network(g, nullptr, "net", kProtocolPlan);
     (void)run_protocol(*lease, 2);
     const auto aborted = [&] {
-      lease->round_fast([&](NodeId v, const Inbox&, Outbox& out) {
-        out[0] = Message{v};
+      lease->round_fast([&](NodeId v, const auto&, auto&& out) {
+        out[0].assign({v});
         DEC_CHECK(v == 0, "deliberate failure");
       });
     };
     EXPECT_THROW(aborted(), CheckError);
   }  // released dirty
-  SyncNetwork fresh(g, nullptr, "net", 2);
+  SyncNetwork fresh(g, nullptr, "net", 2, kProtocolPlan);
   const ProtocolTrace ref = run_protocol(fresh, 4);
-  auto lease = pool.network(g, nullptr, "net");
+  auto lease = pool.network(g, nullptr, "net", kProtocolPlan);
   EXPECT_EQ(ref.key(), run_protocol(*lease, 4).key());
 }
 
@@ -216,7 +218,9 @@ TEST(NetworkPool, RebindReusesRunStateAcrossShapes) {
   const Graph c = gen::grid(5, 8);
   ProtocolTrace ref_a, ref_b, ref_c;
   {
-    SyncNetwork na(a), nb(b), nc(c);
+    SyncNetwork na(a, nullptr, "network", 1, kProtocolPlan);
+    SyncNetwork nb(b, nullptr, "network", 1, kProtocolPlan);
+    SyncNetwork nc(c, nullptr, "network", 1, kProtocolPlan);
     ref_a = run_protocol(na, 5);
     ref_b = run_protocol(nb, 5);
     ref_c = run_protocol(nc, 5);
@@ -227,7 +231,7 @@ TEST(NetworkPool, RebindReusesRunStateAcrossShapes) {
   const Graph* order[] = {&a, &b, &c, &a, &b};
   const ProtocolTrace* expect[] = {&ref_a, &ref_b, &ref_c, &ref_a, &ref_b};
   for (int i = 0; i < 5; ++i) {
-    auto lease = pool.network(*order[i], nullptr, "net");
+    auto lease = pool.network(*order[i], nullptr, "net", kProtocolPlan);
     EXPECT_EQ(expect[i]->key(), run_protocol(*lease, 5).key()) << "step " << i;
   }
   EXPECT_EQ(pool.run_states(), 1u);
@@ -265,7 +269,7 @@ TEST(NetworkPool, PooledTokenGamesMatchFresh) {
     p.delta = 1 + seed % 2;
     p.alpha.assign(static_cast<std::size_t>(g.num_nodes()), p.delta + 1);
     std::vector<int> init(static_cast<std::size_t>(g.num_nodes()));
-    for (auto& t : init) {
+    for (auto&& t : init) {
       t = static_cast<int>(
           rng.next_below(static_cast<std::uint64_t>(p.k) + 1));
     }
@@ -301,7 +305,7 @@ TEST(NetworkPool, DiNetworkRebindHandlesLaneShapes) {
   auto tokens_for = [&](const Digraph& g, std::uint64_t seed) {
     Rng r(seed);
     std::vector<int> init(static_cast<std::size_t>(g.num_nodes()));
-    for (auto& t : init) {
+    for (auto&& t : init) {
       t = static_cast<int>(r.next_below(static_cast<std::uint64_t>(p.k) + 1));
     }
     return init;
@@ -421,7 +425,7 @@ TEST(PooledSolvers, BalancedOrientationAndDefective2EC) {
       Rng rng(2000 + 100 * family + static_cast<std::uint64_t>(seed));
       const auto bg = family_bipartite(family, seed, rng);
       std::vector<double> eta(static_cast<std::size_t>(bg.graph.num_edges()));
-      for (auto& v : eta) v = 3.0 * (2.0 * rng.next_double() - 1.0);
+      for (auto&& v : eta) v = 3.0 * (2.0 * rng.next_double() - 1.0);
 
       OrientationParams p;
       p.nu = seed % 2 == 0 ? 0.125 : 0.0625;
@@ -446,7 +450,7 @@ TEST(PooledSolvers, BalancedOrientationAndDefective2EC) {
       if (seed % 4 == 0) {
         std::vector<double> lambda(
             static_cast<std::size_t>(bg.graph.num_edges()));
-        for (auto& v : lambda) v = rng.next_double();
+        for (auto&& v : lambda) v = rng.next_double();
         RoundLedger fresh_l, pooled_l;
         const Defective2ECResult fresh = defective_2_edge_coloring(
             bg.graph, bg.parts, lambda, 1.0, ParamMode::kPractical, &fresh_l,

@@ -90,82 +90,23 @@ TEST(Message, FieldBitsNegativeAndExtremes) {
   }
 }
 
-TEST(Message, InlineStorageNoSpill) {
-  Message m;
-  for (std::size_t i = 0; i < Message::kInlineFields; ++i) {
-    m.push(static_cast<std::int64_t>(i * 10));
-  }
-  EXPECT_FALSE(m.spilled());
-  EXPECT_EQ(m.size(), Message::kInlineFields);
-  for (std::size_t i = 0; i < Message::kInlineFields; ++i) {
-    EXPECT_EQ(m.at(i), static_cast<std::int64_t>(i * 10));
-  }
-}
-
-TEST(Message, SpillsBeyondInlineCapacity) {
-  Message m;
-  for (std::int64_t i = 0; i < 100; ++i) m.push(i * i);
-  EXPECT_TRUE(m.spilled());
-  EXPECT_EQ(m.size(), 100u);
-  for (std::int64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(m.at(static_cast<std::size_t>(i)), i * i);
-  }
-  m.clear();
-  EXPECT_TRUE(m.empty());
-  m.push(7);  // reuses the spill buffer
-  EXPECT_EQ(m.at(0), 7);
-}
-
-TEST(Message, CopySemantics) {
-  Message wide;
-  for (std::int64_t i = 0; i < 10; ++i) wide.push(i);
-  Message copy(wide);
-  wide.clear();
-  ASSERT_EQ(copy.size(), 10u);
-  EXPECT_EQ(copy.at(9), 9);
-  Message assigned;
-  assigned = copy;
-  EXPECT_EQ(assigned.size(), 10u);
-  assigned = Message{1, 2};
-  EXPECT_EQ(assigned.size(), 2u);
-  EXPECT_EQ(assigned.at(1), 2);
-}
-
-TEST(Message, SlabSpillUsesArenaNotHeap) {
-  MessageSlab slab;
-  Message m;
-  m.bind_slab(&slab);
-  for (std::int64_t i = 0; i < 20; ++i) m.push(i);
-  EXPECT_TRUE(m.spilled());
-  EXPECT_GT(slab.used(), 0u);
-  EXPECT_EQ(m.at(19), 19);
-  // After an arena reset the message must drop its (now invalid) block
-  // before reuse; reset_storage is the substrate's lazy-clear primitive.
-  slab.reset();
-  m.reset_storage();
-  EXPECT_FALSE(m.spilled());
-  EXPECT_TRUE(m.empty());
-  for (std::int64_t i = 0; i < 20; ++i) m.push(i + 1);
-  EXPECT_EQ(m.at(19), 20);
-}
-
 TEST(Message, MessageBitsAndAudit) {
-  Message m{3, 500};
-  EXPECT_EQ(message_bits(m), field_bits(3) + field_bits(500));
+  const std::int64_t m[] = {3, 500};
   CongestAudit audit;
   audit.observe(m);
-  audit.observe(Message{});  // empty = not sent
+  audit.observe({});  // empty = not sent
   EXPECT_EQ(audit.messages_sent(), 1);
-  EXPECT_EQ(audit.max_bits(), message_bits(m));
+  EXPECT_EQ(audit.max_bits(), field_bits(3) + field_bits(500));
   audit.reset();
   EXPECT_EQ(audit.max_bits(), 0);
 }
 
 TEST(Message, AuditMergeIsOrderIndependent) {
   CongestAudit a, b, merged_ab, merged_ba;
-  a.observe(Message{1000});
-  b.observe(Message{3});
-  b.observe(Message{7});
+  const std::int64_t f1000[] = {1000}, f3[] = {3}, f7[] = {7};
+  a.observe(f1000);
+  b.observe(f3);
+  b.observe(f7);
   merged_ab.merge(a);
   merged_ab.merge(b);
   merged_ba.merge(b);
@@ -180,13 +121,13 @@ TEST(Network, DeliversAlongEdges) {
   const Graph g = gen::path(3);  // 0-1, 1-2
   SyncNetwork net(g);
   // Round 1: everyone sends its id on every incident edge.
-  net.round([](NodeId v, const Inbox& inbox, Outbox& outbox) {
+  net.round_fast([](NodeId v, const auto& inbox, auto&& outbox) {
     EXPECT_TRUE(std::all_of(inbox.begin(), inbox.end(),
-                            [](const Message& m) { return m.empty(); }));
-    for (auto& m : outbox) m = Message{v};
+                            [](const auto& m) { return m.empty(); }));
+    for (auto&& m : outbox) m.assign({v});
   });
   // Round 2: check each node received exactly its neighbors' ids.
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     const auto nb = g.neighbors(v);
     ASSERT_EQ(inbox.size(), nb.size());
     for (std::size_t i = 0; i < nb.size(); ++i) {
@@ -202,13 +143,13 @@ TEST(Network, SynchronousSemantics) {
   const Graph g = gen::path(2);
   SyncNetwork net(g);
   bool saw_in_same_round = false;
-  net.round([&](NodeId v, const Inbox& inbox, Outbox& outbox) {
-    if (v == 0) outbox[0] = Message{42};
+  net.round_fast([&](NodeId v, const auto& inbox, auto&& outbox) {
+    if (v == 0) outbox[0].assign({42});
     if (v == 1 && !inbox[0].empty()) saw_in_same_round = true;
   });
   EXPECT_FALSE(saw_in_same_round);
   bool saw_next_round = false;
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     if (v == 1 && !inbox[0].empty() && inbox[0].at(0) == 42) {
       saw_next_round = true;
     }
@@ -219,12 +160,12 @@ TEST(Network, SynchronousSemantics) {
 TEST(Network, MessagesDoNotPersist) {
   const Graph g = gen::path(2);
   SyncNetwork net(g);
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    if (v == 0) out[0] = Message{1};
+  net.round_fast([](NodeId v, const auto&, auto&& out) {
+    if (v == 0) out[0].assign({1});
   });
-  net.round([](NodeId, const Inbox&, Outbox&) {});
+  net.round_fast([](NodeId, const auto&, auto&&) {});
   // The round-1 message must be gone by round 3.
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     if (v == 1) {
       EXPECT_TRUE(inbox[0].empty());
     }
@@ -235,29 +176,30 @@ TEST(Network, SpilledMessagesDeliverIntact) {
   // Payloads wider than the inline buffer take the slab-arena path; they
   // must round-trip bit-exact and must not leak into later rounds.
   const Graph g = gen::star(4);
-  SyncNetwork net(g);
-  const std::size_t wide = Message::kInlineFields * 3;
-  net.round([&](NodeId v, const Inbox&, Outbox& out) {
+  const std::size_t wide = 12;
+  SyncNetwork net(g, nullptr, "network", 1,
+                  SlotPlan{.max_fields = static_cast<int>(wide)});
+  net.round_fast([&](NodeId v, const auto&, auto&& out) {
     if (v == 0) {
       for (std::size_t i = 0; i < out.size(); ++i) {
-        Message& m = out[i];
+        auto&& m = out[i];
         for (std::size_t k = 0; k < wide; ++k) {
           m.push(static_cast<std::int64_t>(100 * (i + 1) + k));
         }
       }
     }
   });
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     if (v != 0) {
       ASSERT_EQ(inbox.size(), 1u);
-      const Message& m = inbox[0];
+      const auto m = inbox[0];
       ASSERT_EQ(m.size(), wide);
       for (std::size_t k = 0; k < wide; ++k) {
         EXPECT_EQ(m.at(k), static_cast<std::int64_t>(100 * v + k));
       }
     }
   });
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     if (v != 0) EXPECT_TRUE(inbox[0].empty());
   });
 }
@@ -266,16 +208,16 @@ TEST(Network, ChargesLedger) {
   const Graph g = gen::cycle(4);
   RoundLedger l;
   SyncNetwork net(g, &l, "mycomp");
-  net.round([](NodeId, const Inbox&, Outbox&) {});
-  net.round([](NodeId, const Inbox&, Outbox&) {});
+  net.round_fast([](NodeId, const auto&, auto&&) {});
+  net.round_fast([](NodeId, const auto&, auto&&) {});
   EXPECT_EQ(l.component("mycomp"), 2);
 }
 
 TEST(Network, AuditTracksMaxBits) {
   const Graph g = gen::path(2);
   SyncNetwork net(g);
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    if (v == 0) out[0] = Message{1023};
+  net.round_fast([](NodeId v, const auto&, auto&& out) {
+    if (v == 0) out[0].assign({1023});
   });
   EXPECT_EQ(net.audit().max_bits(), field_bits(1023));
   EXPECT_EQ(net.audit().messages_sent(), 1);
@@ -284,14 +226,14 @@ TEST(Network, AuditTracksMaxBits) {
 TEST(Network, PerEdgeChannelsAreIndependent) {
   const Graph g = gen::star(3);  // center 0
   SyncNetwork net(g);
-  net.round([&](NodeId v, const Inbox&, Outbox& out) {
+  net.round_fast([&](NodeId v, const auto&, auto&& out) {
     if (v == 0) {
       for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = Message{static_cast<std::int64_t>(100 + i)};
+        out[i].assign({static_cast<std::int64_t>(100 + i)});
       }
     }
   });
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     if (v != 0) {
       ASSERT_EQ(inbox.size(), 1u);
       ASSERT_FALSE(inbox[0].empty());
@@ -341,22 +283,22 @@ TEST(Network, PeerSlotPairingStar) { check_peer_pairing(gen::star(17)); }
 // engines; states, audits, and round counts must match bit-for-bit.
 void check_engine_equivalence(const Graph& g) {
   auto run = [&](int threads) {
-    SyncNetwork net(g, nullptr, "net", threads);
+    SyncNetwork net(g, nullptr, "net", threads, SlotPlan{.max_fields = 2});
     std::vector<std::int64_t> state(static_cast<std::size_t>(g.num_nodes()));
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       state[static_cast<std::size_t>(v)] = v;
     }
     for (int r = 0; r < 5; ++r) {
       std::vector<std::int64_t> next(state);
-      net.round_fast([&](NodeId v, const Inbox& inbox, Outbox& out) {
+      net.round_fast([&](NodeId v, const auto& inbox, auto&& out) {
         std::int64_t acc = state[static_cast<std::size_t>(v)];
-        for (const Message& m : inbox) {
+        for (const auto& m : inbox) {
           if (!m.empty()) acc += m.at(0) * 31 + m.size();
         }
         next[static_cast<std::size_t>(v)] = acc;
         // Odd nodes stay silent every other round to exercise stale slots.
         if (v % 2 == 0 || r % 2 == 0) {
-          for (auto& m : out) m = Message{acc, v};
+          for (auto&& m : out) m.assign({acc, v});
         }
       });
       state = std::move(next);
@@ -399,7 +341,7 @@ TEST(ParallelNetwork, LinialColoringIsBitIdentical) {
 TEST(ParallelNetwork, PropagatesNodeProgramExceptions) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "net", 4);
-  EXPECT_THROW(net.round_fast([](NodeId v, const Inbox&, Outbox&) {
+  EXPECT_THROW(net.round_fast([](NodeId v, const auto&, auto&&) {
                  DEC_CHECK(v != 5, "boom from a pool worker");
                }),
                CheckError);
@@ -410,25 +352,25 @@ TEST(ParallelNetwork, PropagatesNodeProgramExceptions) {
 void check_abort_recovery(int threads) {
   const Graph g = gen::cycle(8);
   SyncNetwork net(g, nullptr, "net", threads);
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v + 100};
+  net.round_fast([](NodeId v, const auto&, auto&& out) {
+    for (auto&& m : out) m.assign({v + 100});
   });
-  EXPECT_THROW(net.round_fast([](NodeId v, const Inbox&, Outbox& out) {
-                 for (auto& m : out) m = Message{v + 200};
+  EXPECT_THROW(net.round_fast([](NodeId v, const auto&, auto&& out) {
+                 for (auto&& m : out) m.assign({v + 200});
                  DEC_CHECK(v < 4, "boom mid-round");
                }),
                CheckError);
   EXPECT_EQ(net.rounds_executed(), 1);
   EXPECT_EQ(net.audit().messages_sent(), 16);  // only the successful round
   // The aborted round's writes are gone; the round-1 delivery is intact.
-  net.round([&](NodeId v, const Inbox& inbox, Outbox&) {
+  net.round_fast([&](NodeId v, const auto& inbox, auto&&) {
     for (std::size_t i = 0; i < inbox.size(); ++i) {
       ASSERT_FALSE(inbox[i].empty());
       EXPECT_EQ(inbox[i].at(0), g.neighbors(v)[i].neighbor + 100);
     }
   });
-  net.round([](NodeId, const Inbox& inbox, Outbox&) {
-    for (const Message& m : inbox) EXPECT_TRUE(m.empty());
+  net.round_fast([](NodeId, const auto& inbox, auto&&) {
+    for (const auto& m : inbox) EXPECT_TRUE(m.empty());
   });
   EXPECT_EQ(net.audit().messages_sent(), 16);
 }
@@ -442,35 +384,36 @@ TEST(ParallelNetwork, AbortedRoundRollsBackParallel) {
 // Stronger than per-engine recovery: after an identical scripted history —
 // including a round that throws mid-flight with wide (slab-spilled) partial
 // writes — the serial and parallel engines must be in bit-identical states:
-// same delivered payloads afterwards, same audit, same round count.
+// same delivered payloads afterwards, same audit, same round count. The
+// networks declare width 8, the script's widest message.
 void run_abort_script(SyncNetwork& net, const Graph& g,
                       std::vector<std::int64_t>* delivered,
                       std::int64_t* audit_msgs, int* audit_bits) {
-  const std::size_t wide = Message::kInlineFields * 2;
-  net.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v * 3 + 1};
+  const std::size_t wide = 8;
+  net.round_fast([&](NodeId v, const auto&, auto&& out) {
+    for (auto&& m : out) m.assign({v * 3 + 1});
   });
-  EXPECT_THROW(net.round_fast([&](NodeId v, const Inbox&, Outbox& out) {
-                 for (auto& m : out) {
+  EXPECT_THROW(net.round_fast([&](NodeId v, const auto&, auto&& out) {
+                 for (auto&& m : out) {
                    for (std::size_t i = 0; i < wide; ++i) m.push(v + 1000);
                  }
                  DEC_CHECK(v < g.num_nodes() / 2, "boom mid-round");
                }),
                CheckError);
-  net.round_fast([&](NodeId v, const Inbox& in, Outbox& out) {
+  net.round_fast([&](NodeId v, const auto& in, auto&& out) {
     std::int64_t acc = 0;
-    for (const Message& m : in) {
+    for (const auto& m : in) {
       acc = acc * 31 + (m.empty() ? -1 : m.at(0));
     }
     if (v % 2 == 0) {
-      for (auto& m : out) m = Message{acc, v};
+      for (auto&& m : out) m.assign({acc, v});
     }
   });
   // Collect into per-node slots (the network's own slot plane gives the
   // indexing): drain programs run sharded, so each node may only write its
   // own slice of the output.
   delivered->assign(net.num_slots(), 0);
-  net.drain_fast([&](NodeId v, const Inbox& in) {
+  net.drain_fast([&](NodeId v, const auto& in) {
     for (std::size_t i = 0; i < in.size(); ++i) {
       (*delivered)[net.slot(v, i)] = in[i].empty() ? -7 : in[i].at(0);
     }
@@ -485,9 +428,10 @@ TEST(ParallelNetwork, AbortRollbackMatchesSerialEngine) {
   std::vector<std::int64_t> serial_d, parallel_d;
   std::int64_t serial_msgs = 0, parallel_msgs = 0;
   int serial_bits = 0, parallel_bits = 0;
-  SyncNetwork serial(g);
+  const SlotPlan plan{.max_fields = 8};
+  SyncNetwork serial(g, nullptr, "network", 1, plan);
   run_abort_script(serial, g, &serial_d, &serial_msgs, &serial_bits);
-  ParallelSyncNetwork parallel(g, nullptr, "network", 4);
+  SyncNetwork parallel(g, nullptr, "network", resolve_num_threads(4), plan);
   run_abort_script(parallel, g, &parallel_d, &parallel_msgs, &parallel_bits);
   EXPECT_EQ(serial_d, parallel_d);
   EXPECT_EQ(serial_msgs, parallel_msgs);
@@ -500,14 +444,14 @@ TEST(Network, DrainReadsLastDeliveryWithoutCharging) {
   const Graph g = gen::path(3);
   RoundLedger ledger;
   SyncNetwork net(g, &ledger, "comp");
-  net.round([](NodeId v, const Inbox&, Outbox& out) {
-    for (auto& m : out) m = Message{v + 50};
+  net.round_fast([](NodeId v, const auto&, auto&& out) {
+    for (auto&& m : out) m.assign({v + 50});
   });
   // The drain sees exactly what a following round's inbox would, repeatably,
   // and costs nothing.
   for (int pass = 0; pass < 2; ++pass) {
     int seen = 0;
-    net.drain_fast([&](NodeId v, const Inbox& in) {
+    net.drain_fast([&](NodeId v, const auto& in) {
       const auto nb = g.neighbors(v);
       for (std::size_t i = 0; i < in.size(); ++i) {
         ASSERT_FALSE(in[i].empty());
@@ -524,8 +468,8 @@ TEST(Network, DrainReadsLastDeliveryWithoutCharging) {
 TEST(Network, DrainBeforeAnyRoundSeesOnlyEmpty) {
   const Graph g = gen::cycle(5);
   SyncNetwork net(g);
-  net.drain_fast([](NodeId, const Inbox& in) {
-    for (const Message& m : in) EXPECT_TRUE(m.empty());
+  net.drain_fast([](NodeId, const auto& in) {
+    for (const auto& m : in) EXPECT_TRUE(m.empty());
   });
   EXPECT_EQ(net.rounds_executed(), 0);
 }

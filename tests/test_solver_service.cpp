@@ -136,9 +136,9 @@ std::vector<SolverRequest> build_job_mix() {
         std::shared_ptr<const Graph> g(bg, &bg->graph);
         Rng wrng(5000 + 10 * family + static_cast<std::uint64_t>(seed));
         std::vector<double> eta(static_cast<std::size_t>(g->num_edges()));
-        for (auto& v : eta) v = 3.0 * (2.0 * wrng.next_double() - 1.0);
+        for (auto&& v : eta) v = 3.0 * (2.0 * wrng.next_double() - 1.0);
         std::vector<double> lambda(static_cast<std::size_t>(g->num_edges()));
-        for (auto& v : lambda) v = wrng.next_double();
+        for (auto&& v : lambda) v = wrng.next_double();
 
         BalancedOrientationJob oj;
         oj.parts = bg->parts;
@@ -552,7 +552,7 @@ TEST(SharedNetworkPool, ConcurrentTenantsPlanEachShapeOnce) {
       tenants.emplace_back([&, t] { got[static_cast<std::size_t>(t)] =
                                         pool.topology(g); });
     }
-    for (auto& th : tenants) th.join();
+    for (auto&& th : tenants) th.join();
   }
   for (int t = 1; t < kTenants; ++t) {
     EXPECT_EQ(got[0].get(), got[static_cast<std::size_t>(t)].get());
@@ -598,7 +598,7 @@ TEST(SharedNetworkPool, CountersStayCoherentUnderConcurrentLookups) {
         }
       });
     }
-    for (auto& th : tenants) th.join();
+    for (auto&& th : tenants) th.join();
   }
   done.store(true, std::memory_order_relaxed);
   observer.join();
@@ -615,8 +615,8 @@ TEST(SharedNetworkPool, ViewsParkAndAdoptRunStates) {
   {
     NetworkPool view(shared);
     auto lease = view.network(g);
-    lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto& m : out) m = Message{v};
+    lease->round_fast([](NodeId v, const auto&, auto&& out) {
+      for (auto&& m : out) m.assign({v});
     });
   }  // view destroyed: its run state parks in the shared arena
   EXPECT_EQ(shared.parked_run_states(), 1u);
@@ -640,8 +640,8 @@ TEST(SharedNetworkPool, TenantsOnDistinctThreadsShareWarmStates) {
   auto run_tenant = [&] {
     NetworkPool view(shared);
     auto lease = view.network(g);
-    lease->round_fast([](NodeId v, const Inbox&, Outbox& out) {
-      for (auto& m : out) m = Message{v};
+    lease->round_fast([](NodeId v, const auto&, auto&& out) {
+      for (auto&& m : out) m.assign({v});
     });
   };
   std::thread(run_tenant).join();
