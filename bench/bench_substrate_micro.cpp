@@ -169,6 +169,31 @@ void BM_NetworkRoundCancelToken(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRoundCancelToken)->Arg(1000)->Arg(10000);
 
+// Sparse traffic: 1 node in 1000 sends on every port, and every program
+// checks quiet() before scanning its inbox (defective refine's pattern once
+// colors settle). The round is then the node loop plus one tag load per
+// node, not a port scan. items = node programs run.
+void BM_NetworkRoundSparse(benchmark::State& state) {
+  Rng rng(3);
+  const Graph g = gen::random_regular(
+      static_cast<NodeId>(state.range(0)), 8, rng);
+  SyncNetwork net(g);
+  std::int64_t heard = 0;  // serial engine: one writer
+  for (auto _ : state) {
+    net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+      if (!in.quiet()) {
+        for (std::size_t i = 0; i < in.size(); ++i) heard += !in[i].empty();
+      }
+      if (v % 1000 == 0) {
+        for (auto&& m : out) m.assign({v});
+      }
+    });
+  }
+  benchmark::DoNotOptimize(heard);
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_NetworkRoundSparse)->Arg(10000);
+
 // Parallel round engine; Args are {n, threads}.
 void BM_NetworkRoundParallel(benchmark::State& state) {
   Rng rng(3);

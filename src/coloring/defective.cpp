@@ -214,17 +214,20 @@ DefectiveResult refine_message_passing(const Graph& g,
         }
       });
       // Round B: fold announced changes into the caches; this class's
-      // over-threshold members broadcast an intent to move.
+      // over-threshold members broadcast an intent to move. Announces are
+      // sparse once colors settle, so most inboxes are quiet: those nodes
+      // skip the port scan, and non-members are then done.
       net.round_fast([&](NodeId v, const auto& in, auto&& out) {
-        int defect = 0;
-        const Color mine = res.colors[static_cast<std::size_t>(v)];
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          if (!in[i].empty()) {
-            nbr_color[net.slot(v, i)] = static_cast<Color>(in[i].at(0));
+        Color* const cache = nbr_color.data() + net.slot(v, 0);
+        if (!in.quiet()) {
+          for (std::size_t i = 0; i < in.size(); ++i) {
+            const auto m = in[i];
+            if (!m.empty()) cache[i] = static_cast<Color>(m.at(0));
           }
-          if (nbr_color[net.slot(v, i)] == mine) ++defect;
         }
         if (classes[static_cast<std::size_t>(v)] != cls) return;
+        const Color mine = res.colors[static_cast<std::size_t>(v)];
+        const auto defect = std::count(cache, cache + in.size(), mine);
         if (defect > move_threshold) {
           intent[static_cast<std::size_t>(v)] = 1;
           for (auto&& m : out) m.assign({1});

@@ -31,7 +31,12 @@
 // announcement, and receivers fill the gaps from their per-incidence caches
 // — same rounds, same colors, strictly fewer messages on stabilizing runs
 // (`dirty_announce = false` keeps the full re-broadcast for regression
-// comparison).
+// comparison). With announces and intents that sparse, most inboxes of the
+// intent round are empty: a node whose inbox reads quiet
+// (NarrowInbox::quiet(), docs/ARCHITECTURE.md "Quiet inboxes") skips the
+// port scan, so a non-member returns at once and a member counts its defect
+// from its cache alone. Messages are only ever skipped when absent, so
+// rounds, colors and audits are unchanged.
 #pragma once
 
 #include <cstdint>

@@ -109,6 +109,11 @@ class Graph {
     return {adj_.data() + lo, static_cast<std::size_t>(hi - lo)};
   }
 
+  /// The whole adjacency as one flat CSR array, node-major:
+  /// incidences()[o + i] is neighbors(v)[i] where o is v's first adjacency
+  /// index. Slot s of a NetworkTopology planned on this graph is entry s.
+  std::span<const Incidence> incidences() const { return adj_; }
+
   /// All edges as endpoint pairs, indexed by edge id.
   const std::vector<std::pair<NodeId, NodeId>>& edge_list() const {
     return edges_;

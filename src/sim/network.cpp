@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
@@ -68,6 +69,11 @@ void SyncNetwork::bind_plan() {
   const std::size_t slots = topo_->num_slots();
   buf_a_.resize(slots);
   if (mode_ == PlaneMode::kDouble) buf_b_.resize(slots);
+  // Both modes keep two tag arrays: this round's stamps must not land in
+  // the tags other shards are still reading. Stale tags can only read as
+  // false positives, so a rebind leaves them as they are.
+  mail_a_.resize(static_cast<std::size_t>(topo_->num_nodes()));
+  mail_b_.resize(static_cast<std::size_t>(topo_->num_nodes()));
   point_planes();
 
   const int num_shards = topo_->num_shards();
@@ -103,6 +109,8 @@ void SyncNetwork::point_planes() {
   out_ = buf_a_.data();
   in_ = mode_ == PlaneMode::kDouble ? buf_b_.data() : buf_a_.data();
   out_is_a_ = true;
+  mail_out_ = mail_a_.data();
+  mail_in_ = mail_b_.data();
 }
 
 void SyncNetwork::reset() {
@@ -117,11 +125,13 @@ void SyncNetwork::reset() {
   audit_.reset();
   poisoned_ = false;
   point_planes();  // restart at parity even; pooled runs match fresh ones
+  in_all_mail_ = false;  // nothing is live, so every tag may say quiet
   for (Shard& sh : shards_) {
     sh.slab_a.reset();
     sh.slab_b.reset();
     sh.touched.clear();
     sh.audit.reset();
+    sh.all_mail = false;
   }
 }
 
@@ -190,7 +200,8 @@ void SyncNetwork::begin_round() {
 // stale and goes to 0. epoch_ restarts at 1, so the next round reads 1 and
 // writes 2: epoch 0 is still never a write epoch (abort_round relies on
 // that), no tag exceeds the counter, and kNoHazardEpoch stays unreachable.
-// One O(slots) pass over the planes per ~2^31 bumps.
+// The read-side mail tags follow the same rule in 8 bits: live tags become
+// 1, the rest 0. One O(slots) pass over the planes per ~2^31 bumps.
 void SyncNetwork::renormalize_epochs() {
   for (std::vector<NarrowSlot>* plane : {&buf_a_, &buf_b_}) {
     for (NarrowSlot& s : *plane) {
@@ -199,6 +210,9 @@ void SyncNetwork::renormalize_epochs() {
                       : 0;
     }
   }
+  const auto live = static_cast<std::uint8_t>(epoch_);
+  std::uint8_t* const end = mail_in_ + mail_a_.size();
+  for (std::uint8_t* t = mail_in_; t != end; ++t) *t = *t == live ? 1 : 0;
   epoch_ = 1;
 }
 
@@ -212,7 +226,10 @@ void SyncNetwork::seed_epoch_for_testing(std::uint32_t e) {
 // every slot written this round (epoch 0 is never a write epoch, so the
 // slots read as stale/empty and are stamped afresh on their next use), drop
 // the per-shard audit/touched state, and rewind the epoch. The inbox buffer
-// is untouched, so the previous round's delivery is still readable.
+// is untouched, so the previous round's delivery is still readable. Mail
+// tags that finished shards already stamped stay: the retried round stamps
+// the same array at the same epoch, and a stamp with no message behind it
+// is only a false positive.
 void SyncNetwork::abort_round() {
   bool touched_any = false;
   for (Shard& sh : shards_) {
@@ -222,6 +239,7 @@ void SyncNetwork::abort_round() {
     for (const std::uint32_t s : sh.touched) out_[s].header_ = 0;
     sh.touched.clear();
     sh.audit.reset();
+    sh.all_mail = false;
   }
   --epoch_;
   // On a single plane the slots just un-stamped WERE last round's delivered
@@ -234,18 +252,41 @@ void SyncNetwork::abort_round() {
 }
 
 void SyncNetwork::finish_round() {
+  bool all_mail = false;
   for (Shard& sh : shards_) {
     audit_.merge(sh.audit);
     sh.audit.reset();
     sh.touched.clear();
+    all_mail = all_mail || sh.all_mail;
+    sh.all_mail = false;
   }
   // Delivery: the peer permutation is baked into inbox reads, so handing the
   // written buffer to the readers is a pointer swap (a no-op on a single
-  // plane, where both point at the one plane).
+  // plane, where both point at the one plane). The mail tags always swap.
   std::swap(in_, out_);
+  std::swap(mail_in_, mail_out_);
+  in_all_mail_ = all_mail;
   out_is_a_ = !out_is_a_;
   ++rounds_;
   if (counter_.has_value()) counter_->charge(1);
+}
+
+// The receiver of a written slot is the graph incidence at the writer's
+// CSR slot: the slot itself, except on odd single-plane rounds, where
+// writes land through the peer permutation (an involution). The receiver
+// may sit in another shard that is still running its node loop, reading the
+// OTHER tag array, so the stores are relaxed atomics; the round barrier
+// orders them before the next round's reads.
+void SyncNetwork::stamp_mail(const std::vector<std::uint32_t>& touched) {
+  const Incidence* const inc = g_->incidences().data();
+  const auto tag = static_cast<std::uint8_t>(epoch_);
+  const bool through_peer = mode_ == PlaneMode::kSingle && !out_is_a_;
+  for (const std::uint32_t s : touched) {
+    const std::uint32_t w = through_peer ? peer_slot_[s] : s;
+    std::atomic_ref<std::uint8_t>(
+        mail_out_[static_cast<std::size_t>(inc[w].neighbor)])
+        .store(tag, std::memory_order_relaxed);
+  }
 }
 
 NodeId SyncNetwork::node_of_slot(std::size_t slot) const {

@@ -90,10 +90,18 @@ class NarrowView {
 /// read-after-write hazard throws instead of returning the node's own
 /// message; on double planes hazard_ is kNoHazardEpoch and the check is one
 /// never-taken compare on the stale path only.
+///
+/// quiet() is a conservative "no mail" bit (docs/ARCHITECTURE.md "Quiet
+/// inboxes"): when it returns true every entry reads empty this round, so a
+/// program may skip the port scan. It may return false for an empty inbox
+/// (a dense delivery, an aliased 8-bit tag), never true for one with mail.
 class NarrowInbox {
  public:
   NarrowView operator[](std::size_t i) const;  // defined after SyncNetwork
   std::size_t size() const { return n_; }
+  bool quiet() const {
+    return mail_ != nullptr && mail_[v_] != static_cast<std::uint8_t>(epoch_);
+  }
 
   class const_iterator {
    public:
@@ -120,10 +128,10 @@ class NarrowInbox {
   friend class SyncNetwork;
   NarrowInbox(const SyncNetwork* net, const NarrowSlot* buf,
               const std::uint32_t* map, std::size_t n, std::uint32_t epoch,
-              std::uint32_t base = 0, std::uint32_t hazard = kNoHazardEpoch,
-              NodeId v = 0)
+              NodeId v, const std::uint8_t* mail, std::uint32_t base = 0,
+              std::uint32_t hazard = kNoHazardEpoch)
       : net_(net), buf_(buf), map_(map), n_(n), epoch_(epoch), base_(base),
-        hazard_(hazard), v_(v) {}
+        hazard_(hazard), v_(v), mail_(mail) {}
 
   const SyncNetwork* net_;    // resolves slab spills of multi-field payloads
   const NarrowSlot* buf_;     // plane base + round base slot
@@ -133,6 +141,7 @@ class NarrowInbox {
   std::uint32_t base_ = 0;  // global-index reconstruction (spill path only)
   std::uint32_t hazard_ = kNoHazardEpoch;  // write epoch on a single plane
   NodeId v_ = 0;
+  const std::uint8_t* mail_;  // per-node read tags; null = all mail
 };
 
 /// Write proxy for one outbox slot (returned BY VALUE by
@@ -326,7 +335,8 @@ class SyncNetwork {
            ++v) {
         const std::size_t lo = offsets_[static_cast<std::size_t>(v)];
         const std::size_t deg = offsets_[static_cast<std::size_t>(v) + 1] - lo;
-        const NarrowInbox in(this, in_, peer_slot_ + lo, deg, epoch_);
+        const NarrowInbox in(this, in_, peer_slot_ + lo, deg, epoch_, v,
+                             read_mail());
         fn(v, in);
       }
     };
@@ -362,13 +372,15 @@ class SyncNetwork {
 
   /// Heap bytes of this run state: the message buffer planes that exist (a
   /// single-plane state never sizes its `b` plane, so it counts exactly
-  /// one), per-shard spill arenas and touched lists. Excludes the shared plan
+  /// one), the two 1 B per-node mail tag arrays, per-shard spill arenas and
+  /// touched lists. Excludes the shared plan
   /// (NetworkTopology::memory_bytes) and the graph (Graph::memory_bytes) —
   /// the three together are the per-node budget docs/ARCHITECTURE.md
   /// "Graph storage & scale" tracks.
   std::size_t memory_bytes() const {
     std::size_t bytes =
-        (buf_a_.capacity() + buf_b_.capacity()) * sizeof(NarrowSlot);
+        (buf_a_.capacity() + buf_b_.capacity()) * sizeof(NarrowSlot) +
+        mail_a_.capacity() + mail_b_.capacity();
     for (const auto& sh : shards_) {
       bytes += sh.slab_a.capacity_bytes() + sh.slab_b.capacity_bytes();
       bytes += sh.touched.capacity() * sizeof(std::uint32_t);
@@ -411,6 +423,15 @@ class SyncNetwork {
   void bind_ledger(RoundLedger* ledger, std::string component);
   void bind_plan();  // (re)size buffers/shards for topo_
   void point_planes();  // in_/out_ per mode_, parity even
+
+  /// Read tags for this round's inboxes: null when the delivery being read
+  /// came from a dense shard that skipped stamping (every quiet() is false).
+  const std::uint8_t* read_mail() const {
+    return in_all_mail_ ? nullptr : mail_in_;
+  }
+  /// Stamp the receivers of this shard's touched slots in the write tags
+  /// (after the shard's node loop; out of line, sparse rounds only).
+  void stamp_mail(const std::vector<std::uint32_t>& touched);
 
   /// Actionable declared-width violation: names the protocol component,
   /// round, node, slot, and declared-vs-actual field count.
@@ -474,6 +495,7 @@ class SyncNetwork {
     constexpr bool in_direct = kMode == ShardMode::kSingleEven;
     constexpr bool out_peer = kMode == ShardMode::kSingleOdd;
     const std::uint32_t hazard = single ? write_epoch : kNoHazardEpoch;
+    const std::uint8_t* mail = read_mail();
     for (NodeId v = shard_begin_[static_cast<std::size_t>(shard)]; v < vend;
          ++v) {
       const std::size_t lo = offsets_[static_cast<std::size_t>(v)];
@@ -488,8 +510,8 @@ class SyncNetwork {
       const std::size_t in_base = in_direct ? lo : 0;
       const std::uint32_t* out_map = out_peer ? peer_slot_ + lo : iota_;
       const std::size_t out_base = out_peer ? 0 : lo;
-      const NarrowInbox in(this, in_ + in_base, in_map, deg, read_epoch,
-                           static_cast<std::uint32_t>(in_base), hazard, v);
+      const NarrowInbox in(this, in_ + in_base, in_map, deg, read_epoch, v,
+                           mail, static_cast<std::uint32_t>(in_base), hazard);
       NarrowOutbox out(out_ + out_base, out_map,
                        static_cast<std::uint32_t>(out_base), write_slab, this,
                        v, deg, write_epoch, &sh.touched, declared_fields_);
@@ -508,6 +530,17 @@ class SyncNetwork {
             write_slab->at_index(slot.spill()), c));
       }
     }
+    // Quiet-inbox tags: a shard that wrote more than 1/8 of its slots flags
+    // the delivery "all mail" instead of stamping, so dense rounds pay this
+    // one compare per shard and nothing per write.
+    const std::size_t shard_slots =
+        shard_slot_begin_[static_cast<std::size_t>(shard) + 1] -
+        shard_slot_begin_[static_cast<std::size_t>(shard)];
+    if (sh.touched.size() > shard_slots / 8) {
+      sh.all_mail = true;
+    } else {
+      stamp_mail(sh.touched);
+    }
   }
 
   /// Owning node of a global slot index (binary search over the CSR
@@ -518,6 +551,7 @@ class SyncNetwork {
     MessageSlab slab_a, slab_b;  // spill arenas for buf_a_ / buf_b_ slots
     std::vector<std::uint32_t> touched;
     CongestAudit audit;
+    bool all_mail = false;  // this round's writes were dense: no stamps
   };
 
   const Graph* g_;
@@ -548,6 +582,16 @@ class SyncNetwork {
   NarrowSlot* in_ = nullptr;   // delivered messages of the previous round
   NarrowSlot* out_ = nullptr;  // slots being written this round
   bool out_is_a_ = true;
+  // Quiet-inbox tags, one byte per node and plane role, swapped with the
+  // planes: a receiver's tag holds the low 8 bits of the write epoch of the
+  // last round that stamped a message to it. A tag that differs from the
+  // read epoch proves an empty inbox; a stale tag can only alias the epoch
+  // (a false positive). in_all_mail_ marks a delivery whose writers skipped
+  // stamping, so none of its inboxes read quiet.
+  std::vector<std::uint8_t> mail_a_, mail_b_;
+  std::uint8_t* mail_in_ = nullptr;
+  std::uint8_t* mail_out_ = nullptr;
+  bool in_all_mail_ = false;
   // A mid-round abort on a single plane has already overwritten some of last
   // round's deliveries in place, so the pre-round state is unrecoverable;
   // the network poisons itself and the next begin_round throws until

@@ -2,8 +2,10 @@
 // slab-spilled payloads, epoch gating, drain), declared-width enforcement
 // (throws with an actionable message, never truncates, network stays usable
 // after the rollback), plan validation, per-lease width re-declaration, the
-// run-state byte count (two 16 B planes per slot), and epoch renormalization
-// (solvers run across it bit-identically to a fresh network).
+// run-state byte count (two 16 B planes per slot), epoch renormalization
+// (solvers run across it bit-identically to a fresh network), and the
+// quiet-inbox bit (never true for an inbox with mail, under every way a
+// round can start, end or be skipped).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include "core/token_dropping.hpp"
 #include "graph/generators.hpp"
 #include "sim/dinetwork.hpp"
+#include "sim/cancel.hpp"
 #include "sim/ledger.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
@@ -256,8 +259,9 @@ TEST(NarrowSlots, RebindRedeclaresWidthButNotPlaneMode) {
 
 TEST(NarrowSlots, MemoryBytesAreTwoSixteenBytePlanes) {
   // A width-1 double-plane run state is two 16 B slot planes plus the
-  // touched lists (4 B per written slot) and a few shard boundaries; a
-  // width-1 lease never spills, so its slabs stay empty.
+  // touched lists (4 B per written slot), the two 1 B per-node mail tag
+  // arrays and a few shard boundaries; a width-1 lease never spills, so its
+  // slabs stay empty.
   Rng rng(11);
   const Graph g = gen::random_regular(512, 8, rng);
   SyncNetwork net(g, nullptr, "mem", 1, narrow(1));
@@ -265,8 +269,9 @@ TEST(NarrowSlots, MemoryBytesAreTwoSixteenBytePlanes) {
     for (auto&& m : out) m.assign({v});
   });
   const std::size_t slots = net.num_slots();
-  EXPECT_GE(net.memory_bytes(), 2 * 16 * slots);
-  EXPECT_LE(net.memory_bytes(), (2 * 16 + 4) * slots + 64);
+  const auto nodes = static_cast<std::size_t>(g.num_nodes());
+  EXPECT_GE(net.memory_bytes(), 2 * 16 * slots + 2 * nodes);
+  EXPECT_LE(net.memory_bytes(), (2 * 16 + 4) * slots + 2 * nodes + 64);
 }
 
 // ------------------------------------------------- epoch renormalization
@@ -390,6 +395,293 @@ TEST(EpochWrap, RenormalizationKeepsTheLiveDeliveryOnly) {
   });
   EXPECT_EQ(net.epoch(), 2u);
   EXPECT_EQ(net.rounds_executed(), 2);
+}
+
+
+// ------------------------------------------------------------ quiet inboxes
+
+// What one round's inboxes looked like: quiet() against a brute-force scan.
+struct QuietTally {
+  int false_negatives = 0;  // quiet() true, yet an entry had mail
+  int quiet = 0;            // inboxes that read quiet
+  int mail = 0;             // inboxes with at least one non-empty entry
+};
+
+QuietTally tally(const std::vector<char>& quiet, const std::vector<char>& mail) {
+  QuietTally t;
+  for (std::size_t v = 0; v < quiet.size(); ++v) {
+    t.false_negatives += quiet[v] != 0 && mail[v] != 0;
+    t.quiet += quiet[v] != 0;
+    t.mail += mail[v] != 0;
+  }
+  return t;
+}
+
+// Send schedules: which ports node v writes in round r.
+enum class Traffic { kSilent, kSparse, kHalf, kDense };
+
+bool sends(Traffic t, NodeId v, std::size_t port, NodeId n, int r) {
+  switch (t) {
+    case Traffic::kSilent:
+      return false;
+    case Traffic::kSparse:  // a few nodes, one port each
+      return port == 0 && (v + r) % 61 == 0;
+    case Traffic::kHalf:  // dense in the low shards, silent in the others
+      return v < n / 2;
+    case Traffic::kDense:
+      return true;
+  }
+  return false;
+}
+
+// One round under schedule `t` that records every inbox's quiet() and a
+// brute-force scan of its entries (read before writing: the single plane
+// forbids the other order). Per-node records keep the sharded engine's
+// writes node-confined.
+QuietTally probe_round(SyncNetwork& net, Traffic t, int r) {
+  const NodeId n = net.graph().num_nodes();
+  std::vector<char> quiet(static_cast<std::size_t>(n), 0);
+  std::vector<char> mail(static_cast<std::size_t>(n), 0);
+  net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+    quiet[static_cast<std::size_t>(v)] = in.quiet();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (!in[i].empty()) mail[static_cast<std::size_t>(v)] = 1;
+    }
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (sends(t, v, i, n, r)) out[i].assign({v});
+    }
+  });
+  return tally(quiet, mail);
+}
+
+QuietTally probe_drain(SyncNetwork& net) {
+  const NodeId n = net.graph().num_nodes();
+  std::vector<char> quiet(static_cast<std::size_t>(n), 0);
+  std::vector<char> mail(static_cast<std::size_t>(n), 0);
+  net.drain_fast([&](NodeId v, const auto& in) {
+    quiet[static_cast<std::size_t>(v)] = in.quiet();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (!in[i].empty()) mail[static_cast<std::size_t>(v)] = 1;
+    }
+  });
+  return tally(quiet, mail);
+}
+
+constexpr Traffic kSchedule[] = {
+    Traffic::kSparse, Traffic::kSparse, Traffic::kDense,  Traffic::kSparse,
+    Traffic::kHalf,   Traffic::kSilent, Traffic::kSparse, Traffic::kDense,
+    Traffic::kDense,  Traffic::kSparse, Traffic::kHalf,   Traffic::kSparse,
+    Traffic::kSparse, Traffic::kSilent, Traffic::kSilent, Traffic::kSparse};
+
+std::string where(PlaneMode mode, int threads) {
+  return std::string(mode == PlaneMode::kDouble ? "double" : "single") +
+         " plane, " + std::to_string(threads) + " shard(s)";
+}
+
+// Runs kSchedule from round `first` on; every round must be free of false
+// negatives, and a round reading a sparse delivery must find quiet inboxes
+// (so the bit is live, not a constant false).
+void expect_schedule_sound(SyncNetwork& net, const std::string& ctx,
+                           int first = 0) {
+  Traffic prev = Traffic::kSilent;
+  int r = first;
+  for (const Traffic t : kSchedule) {
+    const QuietTally got = probe_round(net, t, r);
+    EXPECT_EQ(got.false_negatives, 0) << ctx << ", round " << r;
+    if (prev == Traffic::kSparse || prev == Traffic::kSilent) {
+      EXPECT_GT(got.quiet, 0) << ctx << ", round " << r;
+    }
+    prev = t;
+    ++r;
+  }
+}
+
+TEST(QuietInbox, NeverFalseNegativeAcrossShardsAndModes) {
+  Rng rng(5);
+  const Graph regular = gen::random_regular(300, 6, rng);
+  const Graph sparse = gen::gnp(200, 0.03, rng);  // ragged, some isolated
+  const Graph star = gen::star(40);               // one hub hears everyone
+  for (const Graph* g : {&regular, &sparse, &star}) {
+    for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+      for (const int threads : {1, 2, 4}) {
+        SyncNetwork net(*g, nullptr, "quiet", threads,
+                        SlotPlan{.max_fields = 1, .mode = mode});
+        expect_schedule_sound(net, where(mode, threads) + ", n=" +
+                                       std::to_string(g->num_nodes()));
+      }
+    }
+  }
+}
+
+TEST(QuietInbox, DenseDeliveryIsAllMail) {
+  // A dense round skips stamping, so no inbox of its delivery reads quiet,
+  // the silent ones included.
+  const Graph g = gen::grid(10, 10);
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "dense", threads);
+    probe_round(net, Traffic::kDense, 0);
+    EXPECT_EQ(probe_round(net, Traffic::kSilent, 1).quiet, 0) << threads;
+    // The silent round's delivery is sparse (empty): every inbox is quiet.
+    EXPECT_EQ(probe_round(net, Traffic::kSilent, 2).quiet, g.num_nodes())
+        << threads;
+  }
+}
+
+TEST(QuietInbox, DrainSeesTheLastDelivery) {
+  Rng rng(6);
+  const Graph g = gen::random_regular(240, 4, rng);
+  for (const int threads : {1, 2, 4}) {
+    SyncNetwork net(g, nullptr, "drain", threads);
+    int r = 0;
+    for (const Traffic t : kSchedule) {
+      probe_round(net, t, r++);
+      const QuietTally got = probe_drain(net);
+      EXPECT_EQ(got.false_negatives, 0) << threads << " shard(s), round " << r;
+      if (t == Traffic::kSparse) {
+        EXPECT_GT(got.quiet, 0) << threads;
+      }
+    }
+  }
+}
+
+TEST(QuietInbox, ThrowingProgramThenPoisonAndReset) {
+  Rng rng(7);
+  const Graph g = gen::random_regular(200, 6, rng);
+  struct Boom {};
+  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    for (const int threads : {1, 2, 4}) {
+      const std::string ctx = where(mode, threads);
+      SyncNetwork net(g, nullptr, "boom", threads,
+                      SlotPlan{.max_fields = 1, .mode = mode});
+      probe_round(net, Traffic::kSparse, 0);
+      // The last node throws after every other node wrote, so the shards
+      // that finish first have already stamped their receivers.
+      EXPECT_THROW(net.round_fast([&](NodeId v, const auto& in, auto&& out) {
+                     for (std::size_t i = 0; i < in.size(); ++i) {
+                       (void)in[i].empty();
+                     }
+                     if (v % 7 == 0) out[0].assign({v});
+                     if (v == g.num_nodes() - 1) throw Boom{};
+                   }),
+                   Boom)
+          << ctx;
+      if (mode == PlaneMode::kDouble) {
+        // The rollback kept round 0's delivery readable, and its tags.
+        const QuietTally got = probe_round(net, Traffic::kSparse, 1);
+        EXPECT_EQ(got.false_negatives, 0) << ctx;
+        EXPECT_GT(got.mail, 0) << ctx;
+        EXPECT_GT(got.quiet, 0) << ctx;
+        expect_schedule_sound(net, ctx + ", after rollback", 2);
+      } else {
+        EXPECT_THROW(probe_round(net, Traffic::kSparse, 1), CheckError)
+            << ctx << ": poisoned";
+      }
+      net.reset();
+      const QuietTally fresh = probe_round(net, Traffic::kSparse, 0);
+      EXPECT_EQ(fresh.mail, 0) << ctx;
+      EXPECT_EQ(fresh.false_negatives, 0) << ctx;
+      expect_schedule_sound(net, ctx + ", after reset", 1);
+    }
+  }
+}
+
+TEST(QuietInbox, RebindToALargerGraph) {
+  Rng rng(8);
+  const Graph small = gen::random_regular(60, 4, rng);
+  const Graph large = gen::random_regular(500, 6, rng);
+  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    for (const int threads : {1, 2, 4}) {
+      const std::string ctx = where(mode, threads);
+      const SlotPlan plan{.max_fields = 1, .mode = mode};
+      SyncNetwork net(small, NetworkTopology::plan(small, threads), nullptr,
+                      "rebind", plan);
+      expect_schedule_sound(net, ctx + ", small");
+      net.rebind(large, NetworkTopology::plan(large, threads), nullptr,
+                 "rebind", plan);
+      expect_schedule_sound(net, ctx + ", large");
+      net.rebind(small, NetworkTopology::plan(small, threads), nullptr,
+                 "rebind", plan);
+      expect_schedule_sound(net, ctx + ", small again");
+    }
+  }
+}
+
+TEST(QuietInbox, CancellationLeavesTheDeliveryAndItsTags) {
+  Rng rng(9);
+  const Graph g = gen::random_regular(180, 6, rng);
+  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    for (const int threads : {1, 2, 4}) {
+      const std::string ctx = where(mode, threads);
+      SyncNetwork net(g, nullptr, "cancel", threads,
+                      SlotPlan{.max_fields = 1, .mode = mode});
+      CancelToken token;
+      token.set_round_budget(3);
+      net.set_cancel(&token);
+      int r = 0;
+      EXPECT_THROW(
+          for (;; ++r) probe_round(net, Traffic::kSparse, r), SolverAborted)
+          << ctx;
+      EXPECT_EQ(net.rounds_executed(), 3) << ctx;
+      net.set_cancel(nullptr);
+      const QuietTally got = probe_round(net, Traffic::kSparse, r);
+      EXPECT_EQ(got.false_negatives, 0) << ctx;
+      EXPECT_GT(got.mail, 0) << ctx;
+      EXPECT_GT(got.quiet, 0) << ctx;
+      expect_schedule_sound(net, ctx + ", after cancellation", r + 1);
+    }
+  }
+}
+
+TEST(QuietInbox, EightBitTagsAliasOnlyToFalsePositives) {
+  // One message, then 300 silent rounds: the receiver's stale tag matches
+  // the read epoch again 256 epochs later. That may only read "mail" for
+  // an empty inbox (a false positive), never the other way round.
+  const Graph g = gen::path(200);  // big enough for one message to be sparse
+  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    for (const int threads : {1, 2}) {
+      const std::string ctx = where(mode, threads);
+      SyncNetwork net(g, nullptr, "alias", threads,
+                      SlotPlan{.max_fields = 1, .mode = mode});
+      net.round_fast([](NodeId v, const auto&, auto&& out) {
+        if (v == 2) out[0].assign({v});  // 2 -> 1 only
+      });
+      int aliased = 0;
+      for (int r = 1; r <= 300; ++r) {
+        const QuietTally got = probe_round(net, Traffic::kSilent, r);
+        EXPECT_EQ(got.false_negatives, 0) << ctx;
+        EXPECT_EQ(got.mail, r == 1 ? 1 : 0) << ctx;
+        aliased += got.mail == 0 && got.quiet < g.num_nodes();
+      }
+      EXPECT_GT(aliased, 0) << ctx << ": the 8-bit alias was never reached";
+      expect_schedule_sound(net, ctx + ", after 300 silent rounds", 301);
+    }
+  }
+}
+
+TEST(QuietInbox, RenormalizationKeepsLiveTags) {
+  // Sparse deliveries in flight while the epoch counter renormalizes: the
+  // live tags must come through as live, and quiet inboxes must stay quiet.
+  Rng rng(10);
+  const Graph g = gen::random_regular(160, 4, rng);
+  for (const PlaneMode mode : {PlaneMode::kDouble, PlaneMode::kSingle}) {
+    for (const int threads : {1, 2}) {
+      const std::string ctx = where(mode, threads);
+      SyncNetwork net(g, nullptr, "renorm", threads,
+                      SlotPlan{.max_fields = 1, .mode = mode});
+      net.seed_epoch_for_testing(SyncNetwork::kEpochRenormalizeAt - 3);
+      int r = 0;
+      for (; net.epoch() >= SyncNetwork::kEpochRenormalizeAt - 3; ++r) {
+        const QuietTally got = probe_round(net, Traffic::kSparse, r);
+        EXPECT_EQ(got.false_negatives, 0) << ctx << ", round " << r;
+        if (r > 0) {
+          EXPECT_GT(got.mail, 0) << ctx << ", round " << r;
+        }
+      }
+      EXPECT_LT(net.epoch(), 8u) << ctx;
+      EXPECT_GE(r, 3) << ctx;
+      expect_schedule_sound(net, ctx + ", after renormalization", r);
+    }
+  }
 }
 
 }  // namespace
