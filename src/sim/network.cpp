@@ -122,6 +122,8 @@ void SyncNetwork::reset() {
   // service workers reset a lease per job.
   ++epoch_;
   rounds_ = 0;
+  inline_rounds_ = 0;
+  delivered_ = 0;
   audit_.reset();
   poisoned_ = false;
   point_planes();  // restart at parity even; pooled runs match fresh ones
@@ -253,9 +255,11 @@ void SyncNetwork::abort_round() {
 
 void SyncNetwork::finish_round() {
   bool all_mail = false;
+  delivered_ = 0;
   for (Shard& sh : shards_) {
     audit_.merge(sh.audit);
     sh.audit.reset();
+    delivered_ += sh.touched.size();
     sh.touched.clear();
     all_mail = all_mail || sh.all_mail;
     sh.all_mail = false;

@@ -30,6 +30,7 @@
 // sharded execution are bit-identical in both modes.
 #pragma once
 
+#include <atomic>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -299,16 +300,7 @@ class SyncNetwork {
         "NarrowOutbox&)");
     begin_round();
     try {
-      // The retained pool may carry more workers than the current plan has
-      // shards (it only ever grows across rebinds); surplus workers no-op.
-      const int num_shards = topo_->num_shards();
-      if (pool_ != nullptr && num_shards > 1) {
-        pool_->run([&](int shard) {
-          if (shard < num_shards) run_shard(fn, shard);
-        });
-      } else {
-        run_shard(fn, 0);
-      }
+      for_each_shard([&](int shard) { run_shard(fn, shard); });
     } catch (...) {
       abort_round();  // roll back to the pre-round state, then rethrow
       throw;
@@ -340,14 +332,7 @@ class SyncNetwork {
         fn(v, in);
       }
     };
-    const int num_shards = topo_->num_shards();
-    if (pool_ != nullptr && num_shards > 1) {
-      pool_->run([&](int shard) {
-        if (shard < num_shards) visit(shard);
-      });
-    } else {
-      visit(0);
-    }
+    for_each_shard(visit);
   }
 
   /// Install (or clear, with null) the cooperative cancellation token.
@@ -362,6 +347,32 @@ class SyncNetwork {
   /// Rounds executed so far on this network (since construction or the last
   /// reset()/rebind()).
   std::int64_t rounds_executed() const { return rounds_; }
+
+  /// Rounds and drains that ran every shard on the calling thread although
+  /// this network has more than one (see kInlineRoundItems), over the same
+  /// span as rounds_executed().
+  std::int64_t inline_rounds() const { return inline_rounds_; }
+
+  /// Adaptive engine width. A sharded round's fixed cost (the pool
+  /// barrier, and the cache lines of the network and shard state that move
+  /// between cores) is a few microseconds and varies with where the host
+  /// places the threads. A round whose work is not much larger than that
+  /// gains little from sharding and takes on that variance in full, so it
+  /// runs its shards in order on the calling thread instead. The work
+  /// estimate is one item per node plus one per message delivered to this
+  /// round; below this many items the round runs inline. Which thread runs
+  /// a shard is unobservable, so outputs, rounds and audits are unchanged.
+  static constexpr std::size_t kInlineRoundItems = 4096;
+
+  /// Process-wide override of kInlineRoundItems; 0 sends every round of a
+  /// sharded network through the pool (tests of the parallel engine, whose
+  /// graphs are small, use that).
+  static void set_inline_round_items(std::size_t items) {
+    inline_round_items_.store(items, std::memory_order_relaxed);
+  }
+  static std::size_t inline_round_items() {
+    return inline_round_items_.load(std::memory_order_relaxed);
+  }
 
   const CongestAudit& audit() const { return audit_; }
   const Graph& graph() const { return *g_; }
@@ -423,6 +434,25 @@ class SyncNetwork {
   void bind_ledger(RoundLedger* ledger, std::string component);
   void bind_plan();  // (re)size buffers/shards for topo_
   void point_planes();  // in_/out_ per mode_, parity even
+
+  /// Run body(shard) for every shard: through the pool, or in shard order
+  /// on the calling thread when there is no pool or the round is light.
+  template <class Body>
+  void for_each_shard(Body&& body) {
+    const int num_shards = topo_->num_shards();
+    const std::size_t items =
+        static_cast<std::size_t>(topo_->num_nodes()) + delivered_;
+    if (pool_ != nullptr && num_shards > 1 && items >= inline_round_items()) {
+      // The retained pool may carry more workers than the current plan has
+      // shards (it only ever grows across rebinds); surplus workers no-op.
+      pool_->run([&](int shard) {
+        if (shard < num_shards) body(shard);
+      });
+      return;
+    }
+    for (int shard = 0; shard < num_shards; ++shard) body(shard);
+    if (num_shards > 1) ++inline_rounds_;
+  }
 
   /// Read tags for this round's inboxes: null when the delivery being read
   /// came from a dense shard that skipped stamping (every quiet() is false).
@@ -566,6 +596,12 @@ class SyncNetwork {
   std::optional<RoundLedger::Counter> counter_;  // cached ledger slot
   CancelToken* cancel_ = nullptr;  // not owned; null = no cancellation
   std::int64_t rounds_ = 0;
+  std::int64_t inline_rounds_ = 0;
+  // Messages the last finished round wrote, i.e. the delivery the next
+  // round (or drain) reads: the message half of for_each_shard's estimate.
+  std::size_t delivered_ = 0;
+  static inline std::atomic<std::size_t> inline_round_items_{
+      kInlineRoundItems};
   CongestAudit audit_;
   // Write epoch of the round in progress. Monotonic across reset()/rebind()
   // (never rewound past construction), so stale slot tags from earlier runs

@@ -3,6 +3,7 @@
 
 #include "core/bipartite_coloring.hpp"
 #include "graph/generators.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

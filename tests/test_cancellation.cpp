@@ -25,6 +25,7 @@
 #include "sim/dinetwork.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

@@ -9,6 +9,7 @@
 #include "core/token_dropping.hpp"
 #include "sim/dinetwork.hpp"
 #include "util/rng.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

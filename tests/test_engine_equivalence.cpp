@@ -8,7 +8,9 @@
 // equivalent, so serial-substrate is now the reference.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "core/defective2ec.hpp"
 #include "core/token_dropping.hpp"
 #include "graph/generators.hpp"
+#include "sim/network.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {
@@ -341,5 +345,97 @@ TEST(EngineEquivalence, Defective2ECStar) {
   }
 }
 
+
+// Adaptive engine width: the suite above shards every round; these tests
+// run under the library's default, where light rounds run inline.
+
+// Sets the process-wide inline limit for one test and restores it.
+class InlineRoundItems {
+ public:
+  explicit InlineRoundItems(std::size_t items)
+      : saved_(SyncNetwork::inline_round_items()) {
+    SyncNetwork::set_inline_round_items(items);
+  }
+  ~InlineRoundItems() { SyncNetwork::set_inline_round_items(saved_); }
+  InlineRoundItems(const InlineRoundItems&) = delete;
+  InlineRoundItems& operator=(const InlineRoundItems&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
+TEST(AdaptiveWidth, ThisSuiteShardsEveryRound) {
+  EXPECT_EQ(SyncNetwork::inline_round_items(), 0u);
+  const Graph g = gen::grid(3, 4);
+  SyncNetwork net(g, nullptr, "forced", 4);
+  net.round_fast([](NodeId, const NarrowInbox&, NarrowOutbox&) {});
+  EXPECT_EQ(net.inline_rounds(), 0);
+}
+
+TEST(AdaptiveWidth, LightRoundsRunEveryShardOnTheCaller) {
+  const InlineRoundItems limit(SyncNetwork::kInlineRoundItems);
+  Rng rng(105);
+  const Graph g = gen::random_regular(200, 8, rng);  // 200 + 1600 items
+  SyncNetwork net(g, nullptr, "adaptive", 4);
+  ASSERT_EQ(net.num_threads(), 4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (int r = 0; r < 3; ++r) {
+    net.round_fast([&](NodeId v, const NarrowInbox&, NarrowOutbox& out) {
+      if (std::this_thread::get_id() != caller) ++elsewhere;
+      ++visits[static_cast<std::size_t>(v)];
+      for (auto&& m : out) m.assign({v});
+    });
+  }
+  EXPECT_EQ(net.inline_rounds(), 3);
+  EXPECT_EQ(elsewhere.load(), 0);
+  for (const int n : visits) EXPECT_EQ(n, 3);  // every shard ran
+}
+
+TEST(AdaptiveWidth, DeliveredMessagesCountTowardTheLimit) {
+  const InlineRoundItems limit(1000);
+  Rng rng(106);
+  const Graph g = gen::random_regular(200, 8, rng);
+  SyncNetwork net(g, nullptr, "adaptive", 4, {.max_fields = 1,
+                                              .mode = PlaneMode::kDouble});
+  auto broadcast = [](NodeId v, const NarrowInbox&, NarrowOutbox& out) {
+    for (auto&& m : out) m.assign({v});
+  };
+  auto silent = [](NodeId, const NarrowInbox&, NarrowOutbox&) {};
+  net.round_fast(broadcast);  // 200 nodes, nothing delivered: inline
+  EXPECT_EQ(net.inline_rounds(), 1);
+  net.round_fast(silent);  // 200 + 1600 delivered: through the pool
+  EXPECT_EQ(net.inline_rounds(), 1);
+  net.round_fast(broadcast);  // the silent round delivered nothing
+  EXPECT_EQ(net.inline_rounds(), 2);
+  std::atomic<std::int64_t> sum{0};
+  net.drain_fast([&](NodeId, const NarrowInbox& in) {  // 1800: pooled
+    for (std::size_t i = 0; i < in.size(); ++i) sum += in[i].at(0);
+  });
+  EXPECT_EQ(net.inline_rounds(), 2);
+  std::int64_t want = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) want += 8 * v;
+  EXPECT_EQ(sum.load(), want);
+  net.reset();  // nothing is delivered after a reset
+  EXPECT_EQ(net.inline_rounds(), 0);
+  net.round_fast(silent);
+  EXPECT_EQ(net.inline_rounds(), 1);
+
+  SyncNetwork serial(g, nullptr, "serial", 1);
+  serial.round_fast(silent);
+  EXPECT_EQ(serial.inline_rounds(), 0);  // one shard: nothing to inline
+}
+
+TEST(AdaptiveWidth, MixedWidthSolvesMatchSerial) {
+  // At the default limit a 400-node, degree-12 graph runs its light rounds
+  // inline and its dense ones (400 + 4800 items) through the pool, so one
+  // solve mixes both widths.
+  const InlineRoundItems limit(SyncNetwork::kInlineRoundItems);
+  Rng rng(107);
+  const Graph g = gen::random_regular(400, 12, rng);
+  check_precolor_equivalence(g, 2);
+  check_refine_equivalence(g, 4, 12 / 4 + 1);
+}
 }  // namespace
 }  // namespace dec

@@ -30,6 +30,7 @@
 #include "sim/ledger.hpp"
 #include "sim/pool.hpp"
 #include "util/rng.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

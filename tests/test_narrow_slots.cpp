@@ -25,6 +25,7 @@
 #include "sim/pool.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

@@ -23,6 +23,7 @@
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
 #include "sim/topology.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

@@ -17,6 +17,7 @@
 #include "sim/pool.hpp"
 #include "sim/shared_pool.hpp"
 #include "util/rng.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

@@ -11,6 +11,7 @@
 #include "coloring/defective.hpp"
 #include "coloring/linial.hpp"
 #include "graph/generators.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

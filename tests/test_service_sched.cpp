@@ -20,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "service/solver_service.hpp"
 #include "util/rng.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

@@ -13,6 +13,7 @@
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "sim/slab.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {

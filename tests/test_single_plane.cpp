@@ -27,6 +27,7 @@
 #include "sim/shared_pool.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "shard_every_round.hpp"
 
 namespace dec {
 namespace {
